@@ -68,7 +68,6 @@ from .quantile import (
 from .analysis import (
     TrialResult,
     chernoff_budget,
-    concentration_sweep,
     denoised_matrix,
     deviations,
     max_set_deviation,

@@ -7,12 +7,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .assignment import (
-    AssignmentPlan,
     draw_assignment,
     draw_self_ratings,
     realize_observations,
@@ -22,6 +21,7 @@ from .core import (
     ExperimentConfig,
     GroundTruth,
     ObservedRatings,
+    SelectionSet,
     ValidatedConfig,
     derive_rng,
     is_feasible,
@@ -57,16 +57,16 @@ class TrialResult:
     selection_size: int
 
 
-def quality_gap(selection, gt: GroundTruth, beta_m: int) -> float:
+def quality_gap(selection: SelectionSet, gt: GroundTruth, beta_m: int) -> float:
     """Average per-item shortfall of the selected set against the true top
     set: (1/beta_m) * (sum_{j in T*} r*_j - sum_{j in T} r*_j)."""
-    t = np.asarray(getattr(selection, "t", selection), dtype=float)
+    t = np.asarray(selection.t, dtype=float)
     r = gt.r_star
     return float((gt.t_star @ r - t @ r) / beta_m)
 
 
-def denoised_matrix(world: WorldModel, plan: AssignmentPlan,
-                    observed: ObservedRatings, cfg: ValidatedConfig) -> np.ndarray:
+def denoised_matrix(world: WorldModel, observed: ObservedRatings,
+                    cfg: ValidatedConfig) -> np.ndarray:
     """Observed matrix with reliable rows replaced by their scaled
     expectations (k/m) * a_star; other rows are copied through unchanged."""
     B = observed.values.copy()
@@ -101,7 +101,7 @@ def operator_norm(M: np.ndarray, iters: int = 300, tol: float = 1e-9) -> float:
 def deviations(M: np.ndarray, r_tilde: np.ndarray, r_star: np.ndarray,
                k0: int, m: int) -> np.ndarray:
     """Per-row deviation D_i = sum_j M_ij * (r_tilde_j - (k0/m) r*_j)."""
-    M = np.asarray(getattr(M, "M", M), dtype=float)
+    M = np.asarray(M, dtype=float)
     return M @ (np.asarray(r_tilde, dtype=float) - (k0 / m) * np.asarray(r_star, dtype=float))
 
 
@@ -122,24 +122,11 @@ def max_set_deviation(D: np.ndarray, v_min: int) -> float:
     return float(max(np.abs(top).max(), np.abs(bottom).max()))
 
 
-def sampled_set_deviation(D: np.ndarray, v_min: int, rng: np.random.Generator,
-                          n_samples: int = 2000) -> float:
-    """Monte Carlo lower estimate of max_set_deviation over random sets."""
-    D = np.asarray(D, dtype=float)
-    n = D.size
-    best = 0.0
-    for _ in range(n_samples):
-        size = int(rng.integers(v_min, n + 1))
-        chosen = rng.choice(n, size=size, replace=False)
-        best = max(best, abs(float(D[chosen].mean())))
-    return best
-
-
 def monotone_transfer_gaps(M: np.ndarray, world: WorldModel,
                            cfg: ValidatedConfig) -> Tuple[float, float]:
     """Average reliable-row gaps of M against the true top set, measured in
     the raters' expected ratings (gap_a) and in the true ratings (gap_r)."""
-    M = np.asarray(getattr(M, "M", M), dtype=float)
+    M = np.asarray(M, dtype=float)
     gt = world.ground_truth
     diff = gt.t_star.astype(float)[None, :] - M[world.reliable_set]
     scale = world.reliable_set.size * cfg.beta_m
@@ -159,18 +146,20 @@ def chernoff_budget(n: int, v: int, delta: float, epsilon: float,
 
 def run_trial(cfg: ValidatedConfig, trial_seed: int, *,
               noise: str = "bernoulli", rho_scale: float = 1.0,
-              allow_nonconverged: bool = True, r_dist=None,
-              profile: str = "auto", single_vector: bool = False) -> TrialResult:
+              r_dist=None) -> TrialResult:
     """One end-to-end experiment: build a world, collect ratings, solve for
-    the quantile matrix, extract a selection, and score every claim."""
+    the quantile matrix, extract a selection, and score every claim.
+
+    A solve that hits its iteration limit still yields its best iterate;
+    result.solver_converged records whether the stop criterion was met.
+    """
     rng_world = derive_rng(trial_seed, "world")
     rng_assign = derive_rng(trial_seed, "assign")
     rng_values = derive_rng(trial_seed, "values")
     rng_requester = derive_rng(trial_seed, "requester")
     rng_round = derive_rng(trial_seed, "round")
 
-    world = build_world(cfg, rng_world, noise=noise, r_dist=r_dist,
-                        profile=profile)
+    world = build_world(cfg, rng_world, noise=noise, r_dist=r_dist)
     plan = draw_assignment(cfg, rng_assign)
     observed = realize_observations(plan, world, rng_values)
     masks = draw_self_ratings(cfg, rng_requester)
@@ -179,18 +168,14 @@ def run_trial(cfg: ValidatedConfig, trial_seed: int, *,
     try:
         matrix, report = solve_recover_M(observed, cfg, rho_scale=rho_scale)
     except NotConverged as exc:
-        if not allow_nonconverged:
-            raise
         matrix, report = exc.matrix, exc.report
 
     selection, trace = recover_quantile(
-        matrix.M, requester.r_tilde, requester.r_tilde_prime, cfg, rng_round,
-        single_vector=single_vector,
-    )
+        matrix.M, requester.r_tilde, requester.r_tilde_prime, cfg, rng_round)
 
     gt = world.ground_truth
     gap = quality_gap(selection, gt, cfg.beta_m)
-    B = denoised_matrix(world, plan, observed, cfg)
+    B = denoised_matrix(world, observed, cfg)
     opnorm = operator_norm(observed.values - B)
     gap_a, gap_r = monotone_transfer_gaps(matrix.M, world, cfg)
     D = deviations(matrix.M, requester.r_tilde, gt.r_star, cfg.k0, cfg.m)
@@ -226,46 +211,3 @@ def update_config(cfg: ValidatedConfig, **changes) -> ValidatedConfig:
               for f in dataclasses.fields(ExperimentConfig)}
     fields.update(changes)
     return validate_config(ExperimentConfig(**fields))
-
-
-def _quantiles(values: Sequence[float]) -> dict:
-    arr = np.asarray(list(values), dtype=float)
-    return {
-        "q10": float(np.quantile(arr, 0.10)),
-        "median": float(np.quantile(arr, 0.50)),
-        "q90": float(np.quantile(arr, 0.90)),
-        "mean": float(arr.mean()),
-    }
-
-
-def concentration_sweep(cfg: ValidatedConfig, k_grid: Sequence[int],
-                        trials: int, *, noise: str = "bernoulli",
-                        rho_scale: float = 1.0,
-                        base_seed: Optional[int] = None) -> list:
-    """Run trials over a grid of per-rater budgets and summarize, per grid
-    point, the spread of max-set deviation, of opnorm/sqrt(k), and of the
-    quality gap. Returns one dict row per grid point, sorted by k."""
-    base_seed = cfg.seed if base_seed is None else base_seed
-    rows = []
-    for k in sorted(k_grid):
-        cfg_k = update_config(cfg, k=int(k))
-        results = [
-            run_trial(cfg_k, base_seed + t, noise=noise, rho_scale=rho_scale)
-            for t in range(trials)
-        ]
-        gap = _quantiles([r.quality_gap for r in results])
-        opn = _quantiles([r.opnorm / math.sqrt(k) for r in results])
-        dev = _quantiles([r.max_dev for r in results])
-        rows.append({
-            "k": int(k),
-            "trials": trials,
-            "gap_median": gap["median"], "gap_mean": gap["mean"],
-            "gap_q10": gap["q10"], "gap_q90": gap["q90"],
-            "opnorm_sqrtk_median": opn["median"],
-            "opnorm_sqrtk_q10": opn["q10"], "opnorm_sqrtk_q90": opn["q90"],
-            "max_dev_median": dev["median"], "max_dev_q90": dev["q90"],
-            "dev_violation_rate": float(np.mean(
-                [r.max_dev > r.dev_bound for r in results])),
-            "nonconverged": sum(not r.solver_converged for r in results),
-        })
-    return rows

@@ -50,7 +50,7 @@ _ADVERSARIES = {
 
 _SOLVER_KEYS = {
     "max_iters": int, "eta0": float, "dykstra_iters": int,
-    "stop_rel_obj": float, "stop_window": int, "svd_rank_cap": int,
+    "stop_rel_obj": float, "stop_window": int,
 }
 
 
@@ -165,6 +165,8 @@ class RunSpec:
             raise ConfigError("trial count must be at least 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
+        if not 0.0 < self.rho_scale < math.inf:
+            raise ConfigError("rho scale must be positive and finite")
 
 
 def _fmt(value) -> str:
@@ -231,37 +233,30 @@ def run_experiment(spec: RunSpec) -> int:
         cfg = parse_config(Path(spec.config_path).read_text())
         env_seed = os.environ.get(SEED_ENV_VAR)
         if env_seed is not None:
-            cfg = update_config(cfg, seed=int(env_seed))
+            try:
+                seed = int(env_seed)
+            except ValueError:
+                raise ConfigError(
+                    f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
+            cfg = update_config(cfg, seed=seed)
         spec.out_dir.mkdir(parents=True, exist_ok=True)
-
-    if spec.mode == "run":
-        results = _run_trials(cfg, spec.trials, spec.jobs, spec.rho_scale)
-        _write_csv(spec.out_dir / "results.csv", RESULT_COLUMNS,
-                   [_result_row(r) for r in results])
-        _write_csv(spec.out_dir / "summary.csv", _SUMMARY_HEADER,
-                   [_summary_row(cfg.k, results)])
-        bad = sum(not r.solver_converged for r in results)
-        if bad and not spec.allow_nonconverged:
-            click.echo(f"{bad}/{len(results)} trials did not converge", err=True)
-            return 2
-        return 0
-
-    if spec.mode == "sweep":
-        grid = sorted({min(cfg.k * 2 ** i, cfg.m) for i in range(3)})
+        if spec.mode == "run":
+            grid = [cfg.k]
+        else:
+            grid = sorted({min(cfg.k * 2 ** i, cfg.m) for i in range(3)})
         all_results = []
         summary_rows = []
-        bad = 0
         for k in grid:
-            cfg_k = update_config(cfg, k=k)
-            results = _run_trials(cfg_k, spec.trials, spec.jobs, spec.rho_scale)
+            results = _run_trials(update_config(cfg, k=k), spec.trials,
+                                  spec.jobs, spec.rho_scale)
             all_results.extend(results)
             summary_rows.append(_summary_row(k, results))
-            bad += sum(not r.solver_converged for r in results)
         _write_csv(spec.out_dir / "results.csv", RESULT_COLUMNS,
                    [_result_row(r) for r in all_results])
         _write_csv(spec.out_dir / "summary.csv", _SUMMARY_HEADER, summary_rows)
+        bad = sum(not r.solver_converged for r in all_results)
         if bad and not spec.allow_nonconverged:
-            click.echo(f"{bad} sweep trials did not converge", err=True)
+            click.echo(f"{bad}/{len(all_results)} trials did not converge", err=True)
             return 2
         return 0
 
@@ -433,7 +428,8 @@ def main(config_path, out_dir, trials, jobs, mode, allow_nonconverged, rho_scale
                        allow_nonconverged=allow_nonconverged,
                        rho_scale=rho_scale)
         code = run_experiment(spec)
-    except (ConfigError, ParseError, OSError) as exc:
+    except (ConfigError, ParseError, world.StrategyError, world.ProfileError,
+            UnicodeDecodeError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     sys.exit(code)

@@ -122,10 +122,10 @@ def validate_config(cfg: ExperimentConfig) -> ValidatedConfig:
         raise ConfigError("k0 must be a positive integer")
     if cfg.k0 > cfg.m:
         raise ConfigError("k0 must be at most m")
-    if cfg.L < 1.0:
-        raise ConfigError("L must be at least 1")
-    if cfg.epsilon0 < 0.0:
-        raise ConfigError("epsilon0 must be non-negative")
+    if not 1.0 <= cfg.L < math.inf:
+        raise ConfigError("L must be finite and at least 1")
+    if not 0.0 <= cfg.epsilon0 < math.inf:
+        raise ConfigError("epsilon0 must be finite and non-negative")
 
     alpha_n = round_half_up(cfg.alpha * cfg.n)
     beta_m = round_half_up(cfg.beta * cfg.m)

@@ -31,7 +31,7 @@ class RoundingTrace:
 
 def score_rows(M: np.ndarray, r_tilde: np.ndarray) -> np.ndarray:
     """Row scores s_i = sum_j M_ij * r_tilde_j."""
-    M = np.asarray(getattr(M, "M", M), dtype=float)
+    M = np.asarray(M, dtype=float)
     r_tilde = np.asarray(r_tilde, dtype=float)
     if M.shape[1] != r_tilde.shape[0]:
         raise ValueError("rating vector length must match the matrix columns")
@@ -48,7 +48,7 @@ def select_top_rows(scores: np.ndarray, count: int) -> np.ndarray:
 
 def average_rows(M: np.ndarray, index_set: np.ndarray) -> np.ndarray:
     """Coordinate-wise mean of the selected rows."""
-    M = np.asarray(getattr(M, "M", M), dtype=float)
+    M = np.asarray(M, dtype=float)
     index_set = np.asarray(index_set, dtype=int)
     if index_set.size == 0:
         raise EmptySetError("cannot average an empty row set")
@@ -119,15 +119,12 @@ def accept_loop(T0: np.ndarray, r_tilde_prime: np.ndarray,
 
 def recover_quantile(M: np.ndarray, r_tilde: np.ndarray,
                      r_tilde_prime: np.ndarray, cfg: ValidatedConfig,
-                     rng: np.random.Generator, *,
-                     single_vector: bool = False
+                     rng: np.random.Generator
                      ) -> Tuple[SelectionSet, RoundingTrace]:
     """Full extraction: score rows with r_tilde, average the alpha_n best,
-    and round with the acceptance loop against r_tilde_prime (or against
-    r_tilde itself in single-vector mode)."""
+    and round with the acceptance loop against r_tilde_prime."""
     scores = score_rows(M, r_tilde)
     chosen = select_top_rows(scores, cfg.alpha_n)
     T0 = average_rows(M, chosen)
-    second = r_tilde if single_vector else r_tilde_prime
-    trace = accept_loop(T0, second, cfg, rng)
+    trace = accept_loop(T0, r_tilde_prime, cfg, rng)
     return trace.selection, trace

@@ -15,6 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import (
+    ConfigError,
     QuantileMatrix,
     ValidatedConfig,
     feasibility_residuals,
@@ -51,21 +52,18 @@ class SolverSettings:
     dykstra_iters: int = 30
     stop_rel_obj: float = 1e-6
     stop_window: int = 25
-    svd_rank_cap: Optional[int] = None
 
     def validate(self) -> None:
         if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if self.eta0 is not None and self.eta0 <= 0:
-            raise ValueError("eta0 must be positive")
+            raise ConfigError("max_iters must be positive")
+        if self.eta0 is not None and not 0.0 < self.eta0 < math.inf:
+            raise ConfigError("eta0 must be positive and finite")
         if self.dykstra_iters < 1:
-            raise ValueError("dykstra_iters must be positive")
-        if self.stop_rel_obj <= 0:
-            raise ValueError("stop_rel_obj must be positive")
+            raise ConfigError("dykstra_iters must be positive")
+        if not 0.0 < self.stop_rel_obj < math.inf:
+            raise ConfigError("stop_rel_obj must be positive and finite")
         if self.stop_window < 1:
-            raise ValueError("stop_window must be positive")
-        if self.svd_rank_cap is not None and self.svd_rank_cap < 1:
-            raise ValueError("svd_rank_cap must be positive")
+            raise ConfigError("stop_window must be positive")
 
 
 @dataclass(frozen=True)
@@ -159,8 +157,7 @@ def _svd_values(M: np.ndarray) -> np.ndarray:
         raise SvdFailure("singular value decomposition did not converge") from exc
 
 
-def project_nuclear_ball(M: np.ndarray, rho: float,
-                         rank_cap: Optional[int] = None) -> np.ndarray:
+def project_nuclear_ball(M: np.ndarray, rho: float) -> np.ndarray:
     """Euclidean projection of M onto the nuclear-norm ball of radius rho.
 
     Projects the singular values onto the l1 ball (sorted-threshold rule)
@@ -178,15 +175,11 @@ def project_nuclear_ball(M: np.ndarray, rho: float,
     if float(s.sum()) <= rho:
         return M
     _fix_svd_signs(U, Vt)
-    s_proj = _simplex_threshold(s, rho)
-    if rank_cap is not None:
-        s_proj = s_proj.copy()
-        s_proj[rank_cap:] = 0.0
-    return (U * s_proj) @ Vt
+    return (U * _simplex_threshold(s, rho)) @ Vt
 
 
 def dykstra_project(M: np.ndarray, cap: float, rho: float, max_sweeps: int,
-                    tol: float = 1e-9, rank_cap: Optional[int] = None) -> np.ndarray:
+                    tol: float = 1e-9) -> np.ndarray:
     """Approximate Euclidean projection onto the intersection of the per-row
     capped box-simplex and the nuclear ball, by Dykstra's alternating
     projections with correction terms."""
@@ -196,7 +189,7 @@ def dykstra_project(M: np.ndarray, cap: float, rho: float, max_sweeps: int,
     for _ in range(max_sweeps):
         y = _project_rows(x + p, cap)
         p = x + p - y
-        x = project_nuclear_ball(y + q, rho, rank_cap)
+        x = project_nuclear_ball(y + q, rho)
         q = y + q - x
         if float(np.linalg.norm(x - y)) <= tol * (1.0 + float(np.linalg.norm(x))):
             break
@@ -267,8 +260,7 @@ def solve_recover_M(ratings, cfg: ValidatedConfig, *,
     for t in range(1, settings.max_iters + 1):
         iterations = t
         eta = eta0 / math.sqrt(t)
-        M = dykstra_project(M + eta * A, cap, rho, settings.dykstra_iters,
-                            rank_cap=settings.svd_rank_cap)
+        M = dykstra_project(M + eta * A, cap, rho, settings.dykstra_iters)
         obj = float(np.vdot(A, M))
         if obj > best_obj:
             best_obj = obj

@@ -256,8 +256,7 @@ def adversary_fill(strategy: AdversaryStrategy, plan, reliable_values: np.ndarra
 
 
 def build_world(cfg: ValidatedConfig, rng: np.random.Generator, *,
-                noise: str = "bernoulli", r_dist=None,
-                profile: str = "auto") -> WorldModel:
+                noise: str = "bernoulli", r_dist=None) -> WorldModel:
     """Canonical world for a config: ground truth, reliable set, profile.
 
     The default r_star distribution depends on the adversary so the attack
@@ -268,6 +267,8 @@ def build_world(cfg: ValidatedConfig, rng: np.random.Generator, *,
     """
     if r_dist is None:
         if isinstance(cfg.adversary, SymmetricBlocks):
+            if not 0.0 <= cfg.adversary.block_low <= 1.0:
+                raise StrategyError("block_low must lie in [0, 1]")
             # match the attack's block contrast so the adversary groups are
             # genuinely indistinguishable without the requester's ratings
             r_dist = ("two_level", cfg.adversary.block_low, 1.0)
@@ -281,14 +282,10 @@ def build_world(cfg: ValidatedConfig, rng: np.random.Generator, *,
     if cfg.alpha_n < cfg.n and cfg.adversary is None:
         raise StrategyError("an adversary strategy is required when alpha < 1")
 
-    if profile == "auto":
-        profile = "identity" if cfg.L == 1.0 else "affine"
-    if profile == "identity":
+    if cfg.L == 1.0:
         a_star = np.tile(gt.r_star, (cfg.alpha_n, 1))
-    elif profile == "affine":
-        a_star = random_affine_profile(gt.r_star, cfg.alpha_n, cfg.L, rng)
     else:
-        raise ValueError(f"unknown profile: {profile!r}")
+        a_star = random_affine_profile(gt.r_star, cfg.alpha_n, cfg.L, rng)
 
     check_monotonicity(gt.r_star, a_star, cfg.L, cfg.epsilon0)
     return WorldModel(ground_truth=gt, reliable_set=reliable, a_star=a_star,

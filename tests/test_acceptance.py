@@ -255,7 +255,7 @@ def test_criterion_09_operator_norm_scaling():
             world = build_world(cfg, derive_rng(seed, "world"))
             plan = draw_assignment(cfg, derive_rng(seed, "assign"))
             obs = realize_observations(plan, world, derive_rng(seed, "values"))
-            B = denoised_matrix(world, plan, obs, cfg)
+            B = denoised_matrix(world, obs, cfg)
             vals.append(operator_norm(obs.values - B) / math.sqrt(k))
         medians[k] = float(np.median(vals))
     spread = max(medians.values()) / min(medians.values())
@@ -276,7 +276,7 @@ def test_criterion_10_monotonicity_transfer(trend_results):
         n=60, m=60, alpha=0.5, beta=0.2, epsilon=0.2, delta=0.1, k=30, k0=30,
         L=2.0, adversary=SymmetricBlocks(block_low=0.8),
         solver=SolverSettings(max_iters=300, eta0=0.1)))
-    affine = [run_trial(cfg, 62000 + s, noise="noiseless", profile="affine")
+    affine = [run_trial(cfg, 62000 + s, noise="noiseless")
               for s in range(10)]
     _track(affine, cfg)
     worst_affine = max(r.gap_r - (cfg.L * r.gap_a + cfg.epsilon0) for r in affine)

@@ -11,7 +11,6 @@ from qcrowd import (
     SolverSettings,
     WorldModel,
     chernoff_budget,
-    concentration_sweep,
     denoised_matrix,
     derive_rng,
     deviations,
@@ -23,7 +22,6 @@ from qcrowd import (
     run_trial,
     update_config,
 )
-from qcrowd.analysis import sampled_set_deviation
 
 from conftest import make_config
 
@@ -87,7 +85,7 @@ class TestDenoisedMatrix:
         world = _world(cfg)
         plan = draw_assignment(cfg, derive_rng(1, "a"))
         obs = realize_observations(plan, world, derive_rng(1, "v"))
-        B = denoised_matrix(world, plan, obs, cfg)
+        B = denoised_matrix(world, obs, cfg)
         diff = obs.values - B
         assert np.allclose(diff[world.reliable_set], 0.0)
 
@@ -96,7 +94,7 @@ class TestDenoisedMatrix:
         world = _world(cfg, noise="bernoulli")
         plan = draw_assignment(cfg, derive_rng(2, "a"))
         obs = realize_observations(plan, world, derive_rng(2, "v"))
-        B = denoised_matrix(world, plan, obs, cfg)
+        B = denoised_matrix(world, obs, cfg)
         adv = np.setdiff1d(np.arange(cfg.n), world.reliable_set)
         assert np.array_equal((obs.values - B)[adv], np.zeros((3, 8)))
 
@@ -150,13 +148,6 @@ class TestMaxSetDeviation:
                 best = max(best, abs(D[list(combo)].mean()))
         assert max_set_deviation(D, v_min) == pytest.approx(best)
 
-    def test_sampled_estimate_never_exceeds_exact(self):
-        rng = np.random.default_rng(7)
-        D = rng.standard_normal(40)
-        exact = max_set_deviation(D, 10)
-        sampled = sampled_set_deviation(D, 10, derive_rng(7, "s"), 500)
-        assert sampled <= exact + 1e-12
-
     def test_invalid_v(self):
         with pytest.raises(ValueError):
             max_set_deviation(np.ones(3), 4)
@@ -197,7 +188,7 @@ class TestMonotoneTransfer:
         cfg = make_config(n=12, m=16, alpha=1.0, beta=0.25, k=16, k0=16, L=2.0,
                           solver=SolverSettings(max_iters=150))
         for s in range(5):
-            res = run_trial(cfg, 500 + s, noise="noiseless", profile="affine")
+            res = run_trial(cfg, 500 + s, noise="noiseless")
             assert res.gap_r <= cfg.L * res.gap_a + cfg.epsilon0 + 1e-9
 
     def test_identity_world_gaps_coincide(self):
@@ -243,12 +234,10 @@ class TestRunTrial:
         assert -1.0 <= res.quality_gap <= 1.0
 
     def test_not_converged_propagates_when_disallowed(self):
-        from qcrowd import NotConverged
+        # the iterate is kept; non-convergence shows in the result only
         cfg = make_config(adversary=RandomSpam(0.7),
                           solver=SolverSettings(max_iters=2))
-        with pytest.raises(NotConverged):
-            run_trial(cfg, 11, allow_nonconverged=False)
-        res = run_trial(cfg, 11, allow_nonconverged=True)
+        res = run_trial(cfg, 11)
         assert not res.solver_converged
 
 
@@ -260,22 +249,3 @@ class TestUpdateConfig:
         from qcrowd import ConfigError
         with pytest.raises(ConfigError):
             update_config(cfg, k=cfg.m + 1)
-
-
-class TestConcentrationSweep:
-    def test_rows_sorted_and_zero_noise_deviation(self):
-        cfg = make_config(n=12, m=16, alpha=1.0, beta=0.25, k=4, k0=16,
-                          solver=SolverSettings(max_iters=80))
-        rows = concentration_sweep(cfg, [8, 4, 16], trials=3, noise="noiseless")
-        assert [r["k"] for r in rows] == [4, 8, 16]
-        # k0 = m and noiseless: requester vector is exact, deviations vanish
-        assert rows[-1]["max_dev_median"] >= 0.0
-        full = concentration_sweep(cfg, [16], trials=2, noise="noiseless")
-        assert full[0]["k"] == 16
-
-    def test_opnorm_scaling_band(self):
-        cfg = make_config(n=40, m=40, alpha=1.0, beta=0.2, k=5, k0=20,
-                          solver=SolverSettings(max_iters=60))
-        rows = concentration_sweep(cfg, [5, 10, 20], trials=6)
-        meds = [r["opnorm_sqrtk_median"] for r in rows]
-        assert max(meds) / min(meds) < 2.0

@@ -127,14 +127,17 @@ class TestRunMode:
         assert seeds == [42, 43, 44]
         assert (out / "summary.csv").exists()
 
-    def test_byte_identical_across_runs_and_jobs(self, tmp_path, config_file):
+    @pytest.mark.parametrize("mode", ("run", "sweep"))
+    def test_byte_identical_across_runs_and_jobs(self, tmp_path, config_file,
+                                                 mode):
         outs = []
         for j, jobs in ((1, 1), (2, 2)):
             out = tmp_path / f"out{j}"
-            spec = RunSpec(mode="run", config_path=config_file, out_dir=out,
+            spec = RunSpec(mode=mode, config_path=config_file, out_dir=out,
                            trials=4, jobs=jobs, allow_nonconverged=True)
             run_experiment(spec)
-            outs.append((out / "results.csv").read_bytes())
+            outs.append(((out / "results.csv").read_bytes(),
+                         (out / "summary.csv").read_bytes()))
         assert outs[0] == outs[1]
 
     def test_lf_line_endings_and_12_digits(self, tmp_path, config_file):
@@ -241,3 +244,37 @@ class TestMainCommand:
             "--config", str(config_file), "--out", str(tmp_path / "o"),
             "--trials", "0"])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("old,new,args,env,names", [
+        pytest.param("", "", [], {"QCROWD_SEED": "abc"}, "QCROWD_SEED",
+                     id="env-seed"),
+        *(pytest.param("", "", ["--rho-scale", v], {}, "rho scale",
+                       id=f"rho-scale={v}") for v in ("-1", "0", "nan", "inf")),
+        pytest.param("seed = 42", "seed = 42\nL = nan", [], {}, "L must",
+                     id="L=nan"),
+        pytest.param("seed = 42", "seed = 42\nepsilon0 = nan", [], {},
+                     "epsilon0", id="epsilon0=nan"),
+        pytest.param("SymmetricBlocks\nadversary.block_low = 0.8",
+                     "RandomSpam\nadversary.p_high = 2", [], {}, "p_high",
+                     id="p_high=2"),
+        pytest.param("block_low = 0.8", "block_low = 1.5", [], {}, "block_low",
+                     id="block_low=1.5"),
+        pytest.param("max_iters = 250", "max_iters = 0", [], {}, "max_iters",
+                     id="max_iters=0"),
+        pytest.param("max_iters = 250", "eta0 = nan", [], {}, "eta0",
+                     id="eta0=nan"),
+        pytest.param("# toy", "# \xff toy", [], {}, "utf-8", id="not-utf8"),
+    ])
+    def test_malformed_input_gives_one_error_line(self, tmp_path, old, new,
+                                                  args, env, names):
+        cfg = tmp_path / "exp.cfg"
+        text = GOOD_CONFIG.replace(old, new) if old else GOOD_CONFIG
+        cfg.write_bytes(text.encode("latin-1"))  # keeps a lone \xff byte
+        result = CliRunner().invoke(main, [
+            "--config", str(cfg), "--out", str(tmp_path / "o"),
+            "--allow-nonconverged", *args], env=env)
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), result.output
+        assert names in lines[0]
+        assert "Traceback" not in result.output

@@ -45,7 +45,11 @@ class TestValidateConfig:
         ("k0", 0, "k0"),
         ("k0", 99, "k0 must be at most m"),
         ("L", 0.5, "L"),
+        ("L", float("nan"), "L"),
+        ("L", float("inf"), "L"),
         ("epsilon0", -0.1, "epsilon0"),
+        ("epsilon0", float("nan"), "epsilon0"),
+        ("epsilon0", float("inf"), "epsilon0"),
         ("n", 0, "n"),
     ])
     def test_rejections_name_the_constraint(self, field, value, msg):

@@ -220,15 +220,3 @@ class TestRecoverQuantile:
             sel, _ = recover_quantile(M, rng.random(10), rng.random(10), cfg,
                                       derive_rng(s, "rq"))
             assert sel.size <= cfg.beta_m
-
-    def test_single_vector_mode_ignores_second_vector(self):
-        cfg = make_config(n=4, m=8, alpha=0.5, beta=0.25, k=8, k0=8)
-        rng = np.random.default_rng(15)
-        M = rng.random((4, 8)) * 0.4
-        r1 = rng.random(8)
-        junk = rng.random(8)
-        a, _ = recover_quantile(M, r1, junk, cfg, derive_rng(16, "rq"),
-                                single_vector=True)
-        b, _ = recover_quantile(M, r1, np.zeros(8), cfg, derive_rng(16, "rq"),
-                                single_vector=True)
-        assert np.array_equal(a.t, b.t)
