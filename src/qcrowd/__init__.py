@@ -44,7 +44,6 @@ from .world import (
     generate_ground_truth,
 )
 from .solver import (
-    NotConverged,
     SolveReport,
     SolverSettings,
     SvdFailure,

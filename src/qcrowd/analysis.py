@@ -28,7 +28,7 @@ from .core import (
     validate_config,
 )
 from .quantile import recover_quantile
-from .solver import NotConverged, solve_recover_M
+from .solver import solve_recover_M
 from .world import WorldModel, build_world
 
 
@@ -165,10 +165,7 @@ def run_trial(cfg: ValidatedConfig, trial_seed: int, *,
     masks = draw_self_ratings(cfg, rng_requester)
     requester = realize_requester(world, masks, rng_requester)
 
-    try:
-        matrix, report = solve_recover_M(observed, cfg, rho_scale=rho_scale)
-    except NotConverged as exc:
-        matrix, report = exc.matrix, exc.report
+    matrix, report = solve_recover_M(observed, cfg, rho_scale=rho_scale)
 
     selection, trace = recover_quantile(
         matrix.M, requester.r_tilde, requester.r_tilde_prime, cfg, rng_round)

@@ -48,10 +48,7 @@ _ADVERSARIES = {
     "MirroredCopy": (world.MirroredCopy, {"perm_seed": int}),
 }
 
-_SOLVER_KEYS = {
-    "max_iters": int, "eta0": float, "dykstra_iters": int,
-    "stop_rel_obj": float, "stop_window": int,
-}
+_SOLVER_KEYS = {"max_iters": int, "eta0": float}
 
 
 class ParseError(ValueError):
@@ -274,10 +271,18 @@ def run_experiment(spec: RunSpec) -> int:
 # check suite: fast, deterministic invariant battery
 # ---------------------------------------------------------------------------
 
+def _require(cond, what: str) -> None:
+    """Fail the current check with `what`; unlike assert, this also holds
+    under python -O."""
+    if not cond:
+        raise AssertionError(what)
+
+
 def _check_config_examples():
     cfg = validate_config(ExperimentConfig(
         n=10, m=12, alpha=0.4, beta=1 / 6, epsilon=0.2, delta=0.1, k=6, k0=6))
-    assert cfg.alpha_n == 4 and cfg.beta_m == 2
+    _require(cfg.alpha_n == 4 and cfg.beta_m == 2,
+             f"alpha_n, beta_m = {cfg.alpha_n}, {cfg.beta_m}, expected 4, 2")
     try:
         validate_config(ExperimentConfig(
             n=10, m=5, alpha=0.5, beta=0.5, epsilon=0.5, delta=0.1, k=2, k0=2))
@@ -291,7 +296,8 @@ def _check_rng_streams():
     a = derive_rng(7, "assign").random(100)
     b = derive_rng(7, "assign").random(100)
     c = derive_rng(7, "self-ratings").random(100)
-    assert np.array_equal(a, b) and not np.array_equal(a, c)
+    _require(np.array_equal(a, b), "same seed and label gave different streams")
+    _require(not np.array_equal(a, c), "different labels gave the same stream")
 
 
 def _check_ground_truth():
@@ -300,7 +306,8 @@ def _check_ground_truth():
         r = rng.random(40)
         gt = GroundTruth.from_ratings(r, 7)
         order = np.argsort(-r, kind="stable")[:7]
-        assert set(np.flatnonzero(gt.t_star)) == set(order)
+        _require(set(np.flatnonzero(gt.t_star)) == set(order),
+                 "t_star does not mark the top entries of r_star")
 
 
 def _check_assignment_degrees():
@@ -308,8 +315,8 @@ def _check_assignment_degrees():
         n=60, m=80, alpha=0.5, beta=0.25, epsilon=0.5, delta=0.1, k=8, k0=8))
     for s in range(5):
         plan = draw_assignment(cfg, derive_rng(s, "assign"))
-        assert plan.row_degrees.max() <= 2 * cfg.k
-        assert plan.col_degrees.max() <= 2 * cfg.k
+        _require(plan.row_degrees.max() <= 2 * cfg.k, "row degree above 2k")
+        _require(plan.col_degrees.max() <= 2 * cfg.k, "column degree above 2k")
 
 
 def _check_projections():
@@ -317,14 +324,18 @@ def _check_projections():
     v = rng.random(12) * 3 - 1
     proj = solver.project_capped_box_simplex(v, 4)
     again = solver.project_capped_box_simplex(proj, 4)
-    assert np.abs(proj - again).max() < 1e-8
-    assert np.allclose(solver.project_capped_box_simplex(np.array([2.0, 2.0]), 1),
-                       [0.5, 0.5], atol=1e-9)
+    _require(np.abs(proj - again).max() < 1e-8,
+             "box-simplex projection is not idempotent")
+    _require(np.allclose(solver.project_capped_box_simplex(np.array([2.0, 2.0]), 1),
+                         [0.5, 0.5], atol=1e-9),
+             "projection of (2, 2) onto the cap-1 simplex is not (0.5, 0.5)")
     M = rng.random((6, 9))
-    assert np.array_equal(solver.project_nuclear_ball(M, 1e6), M)
+    _require(np.array_equal(solver.project_nuclear_ball(M, 1e6), M),
+             "nuclear projection moved a point inside the ball")
     feasible = solver._project_rows(M, 3.0)
     moved = solver.dykstra_project(feasible, 3.0, 1e6, 10)
-    assert np.linalg.norm(moved - feasible) < 1e-8
+    _require(np.linalg.norm(moved - feasible) < 1e-8,
+             "Dykstra projection moved a feasible point")
 
 
 def _check_solver_small():
@@ -335,13 +346,12 @@ def _check_solver_small():
     values = rng.random((8, 12))
     from .core import ObservedRatings
     obs = ObservedRatings(values=values, mask=np.ones((8, 12), dtype=np.int8))
-    try:
-        _, report = solver.solve_recover_M(obs, cfg)
-    except solver.NotConverged as exc:
-        report = exc.report
+    _, report = solver.solve_recover_M(obs, cfg)
     greedy = solver.greedy_row_oracle(values, cfg.beta_m)
-    assert report.objective <= float(np.vdot(values, greedy)) + 1e-9
-    assert report.residual_box <= 1e-6 and report.residual_row <= 1e-6
+    _require(report.objective <= float(np.vdot(values, greedy)) + 1e-9,
+             "solver objective exceeds the greedy upper bound")
+    _require(report.residual_box <= 1e-6 and report.residual_row <= 1e-6,
+             "solver output violates the box or row-sum constraints")
 
 
 def _check_rounding():
@@ -350,8 +360,10 @@ def _check_rounding():
     draws = quantile.round_offsets(T0, rng.random(20000))
     freq = draws.mean(axis=0)
     sigma = np.sqrt(np.maximum(T0 * (1 - T0), 1e-12) / 20000)
-    assert np.all(np.abs(freq - T0) <= 4 * sigma + 1e-9)
-    assert draws.sum(axis=1).max() <= math.ceil(T0.sum())
+    _require(np.all(np.abs(freq - T0) <= 4 * sigma + 1e-9),
+             "rounding frequencies stray more than 4 sigma from T0")
+    _require(draws.sum(axis=1).max() <= math.ceil(T0.sum()),
+             "a rounded set exceeds ceil(sum T0) items")
 
 
 def _check_recover_exact():
@@ -359,9 +371,11 @@ def _check_recover_exact():
         n=20, m=20, alpha=1.0, beta=0.2, epsilon=0.2, delta=0.1, k=20, k0=20,
         solver=SolverSettings(max_iters=600)))
     res = run_trial(cfg, 123, noise="noiseless", r_dist=("two_level", 0.0, 1.0))
-    assert res.quality_gap == 0.0
-    assert res.cardinality_ok and res.feasibility_ok
-    assert res.gap_r <= cfg.L * res.gap_a + cfg.epsilon0 + 1e-9
+    _require(res.quality_gap == 0.0, f"quality gap {res.quality_gap}, expected 0")
+    _require(res.cardinality_ok and res.feasibility_ok,
+             "selection too large or solver output infeasible")
+    _require(res.gap_r <= cfg.L * res.gap_a + cfg.epsilon0 + 1e-9,
+             "monotone transfer inequality violated")
 
 
 _CHECKS = (

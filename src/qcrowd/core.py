@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -106,6 +107,9 @@ def validate_config(cfg: ExperimentConfig) -> ValidatedConfig:
         raise ConfigError("m must be a positive integer")
     if cfg.m < cfg.n:
         raise ConfigError("m must be at least n")
+    for key in ("n", "m"):
+        if getattr(cfg, key) > sys.float_info.max:
+            raise ConfigError(f"{key} is too large to convert to a float")
     if not 0.0 < cfg.alpha <= 1.0:
         raise ConfigError("alpha must lie in (0, 1]")
     if not 0.0 < cfg.beta <= 1.0:

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from qcrowd import ConfigError, DenseHalfPositive, SymmetricBlocks
+import qcrowd
+from qcrowd import ConfigError, DenseHalfPositive, SymmetricBlocks, ValidatedConfig
 from qcrowd.cli import (
     RESULT_COLUMNS,
     ParseError,
@@ -107,6 +112,40 @@ class TestParseConfig:
             parse_config(GOOD_CONFIG.replace("m = 12", "m = 5"))
 
 
+_HUGE = "1" + "0" * 400
+_BASE_PAIRS = dict(
+    (key.strip(), value.strip())
+    for key, _, value in (line.partition("=")
+                          for line in GOOD_CONFIG.splitlines()[1:]))
+_KEYS = (*_BASE_PAIRS, "L", "epsilon0", "adversary.p_high",
+         "adversary.block_size", "adversary.perm_seed", "solver.eta0",
+         "solver.tol", "adversary.mood", "foo", "solver.", "")
+_VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from([_HUGE, "-" + _HUGE, "1e400", "nan", "-inf", "0.3",
+                     "SymmetricBlocks", "RandomSpam", "DenseHalfPositive",
+                     "MirroredCopy", "AntiCorrelated", "EvilRater", ""]),
+    st.text(max_size=6),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(overrides=st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=5),
+       dropped=st.sets(st.sampled_from(sorted(_BASE_PAIRS)), max_size=2),
+       junk=st.lists(st.text(max_size=10), max_size=2))
+def test_parse_config_validates_or_raises_a_config_error(overrides, dropped,
+                                                         junk):
+    pairs = {k: v for k, v in _BASE_PAIRS.items() if k not in dropped}
+    pairs.update(overrides)
+    text = "\n".join([f"{k} = {v}" for k, v in pairs.items()] + junk)
+    try:
+        cfg = parse_config(text)
+    except (ParseError, ConfigError):
+        return
+    assert isinstance(cfg, ValidatedConfig)
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "exp.cfg"
@@ -199,6 +238,23 @@ class TestOtherModes:
         assert "checks passed" in out
         assert "FAIL" not in out
 
+    def test_check_mode_fails_under_optimize_flag(self):
+        # top_indices reversed must fail the battery even when python -O
+        # strips assert statements
+        script = (
+            "import sys, numpy as np\n"
+            "from qcrowd import cli, core\n"
+            "core.top_indices = lambda values, count: "
+            "np.argsort(values, kind='stable')[:count]\n"
+            "sys.argv = ['qcrowd', '--mode', 'check']\n"
+            "cli.main()\n")
+        src = str(Path(qcrowd.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "FAIL ground truth" in proc.stdout
+
     def test_round_demo_writes_csv(self, tmp_path):
         spec = RunSpec(mode="round-demo", config_path=None,
                        out_dir=tmp_path / "demo")
@@ -263,6 +319,10 @@ class TestMainCommand:
                      id="max_iters=0"),
         pytest.param("max_iters = 250", "eta0 = nan", [], {}, "eta0",
                      id="eta0=nan"),
+        pytest.param("max_iters = 250", "max_iters = 250\nsolver.stop_window = 25",
+                     [], {}, "solver.stop_window", id="removed-solver-key"),
+        pytest.param("n = 10\nm = 12", f"n = {_HUGE}\nm = {_HUGE}",
+                     [], {}, "n is too large", id="huge-n-m"),
         pytest.param("# toy", "# \xff toy", [], {}, "utf-8", id="not-utf8"),
     ])
     def test_malformed_input_gives_one_error_line(self, tmp_path, old, new,
