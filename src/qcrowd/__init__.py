@@ -14,13 +14,11 @@ from .core import (
     QuantileMatrix,
     RequesterRatings,
     SelectionSet,
+    SolverSettings,
     TOL_FEAS,
     TOL_NUC,
-    ValidatedConfig,
     derive_rng,
     feasibility_residuals,
-    is_feasible,
-    validate_config,
 )
 from .assignment import (
     AssignmentPlan,
@@ -45,7 +43,6 @@ from .world import (
 )
 from .solver import (
     SolveReport,
-    SolverSettings,
     SvdFailure,
     dykstra_project,
     greedy_row_oracle,
@@ -74,7 +71,6 @@ from .analysis import (
     operator_norm,
     quality_gap,
     run_trial,
-    update_config,
 )
 
 __version__ = "0.1.0"

@@ -4,7 +4,6 @@ per-trial pipeline the experiment runner dispatches."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -22,10 +21,9 @@ from .core import (
     GroundTruth,
     ObservedRatings,
     SelectionSet,
-    ValidatedConfig,
+    TOL_FEAS,
+    TOL_NUC,
     derive_rng,
-    is_feasible,
-    validate_config,
 )
 from .quantile import recover_quantile
 from .solver import solve_recover_M
@@ -66,7 +64,7 @@ def quality_gap(selection: SelectionSet, gt: GroundTruth, beta_m: int) -> float:
 
 
 def denoised_matrix(world: WorldModel, observed: ObservedRatings,
-                    cfg: ValidatedConfig) -> np.ndarray:
+                    cfg: ExperimentConfig) -> np.ndarray:
     """Observed matrix with reliable rows replaced by their scaled
     expectations (k/m) * a_star; other rows are copied through unchanged."""
     B = observed.values.copy()
@@ -123,7 +121,7 @@ def max_set_deviation(D: np.ndarray, v_min: int) -> float:
 
 
 def monotone_transfer_gaps(M: np.ndarray, world: WorldModel,
-                           cfg: ValidatedConfig) -> Tuple[float, float]:
+                           cfg: ExperimentConfig) -> Tuple[float, float]:
     """Average reliable-row gaps of M against the true top set, measured in
     the raters' expected ratings (gap_a) and in the true ratings (gap_r)."""
     M = np.asarray(M, dtype=float)
@@ -144,7 +142,7 @@ def chernoff_budget(n: int, v: int, delta: float, epsilon: float,
     return int(math.ceil(base)), int(math.ceil(base / beta))
 
 
-def run_trial(cfg: ValidatedConfig, trial_seed: int, *,
+def run_trial(cfg: ExperimentConfig, trial_seed: int, *,
               noise: str = "bernoulli", rho_scale: float = 1.0,
               r_dist=None) -> TrialResult:
     """One end-to-end experiment: build a world, collect ratings, solve for
@@ -196,15 +194,10 @@ def run_trial(cfg: ValidatedConfig, trial_seed: int, *,
         gap_r=gap_r,
         max_dev=max_dev,
         dev_bound=dev_bound,
-        feasibility_ok=is_feasible(matrix.M, cfg.beta_m, cfg.rho * rho_scale),
+        feasibility_ok=(report.residual_box <= TOL_FEAS
+                        and report.residual_row <= TOL_FEAS
+                        and report.residual_nuc <= TOL_NUC),
         cardinality_ok=selection.size <= cfg.beta_m,
         selection_size=selection.size,
     )
 
-
-def update_config(cfg: ValidatedConfig, **changes) -> ValidatedConfig:
-    """Re-validate a config with some fields replaced."""
-    fields = {f.name: getattr(cfg, f.name)
-              for f in dataclasses.fields(ExperimentConfig)}
-    fields.update(changes)
-    return validate_config(ExperimentConfig(**fields))

@@ -8,7 +8,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import ObservedRatings, RequesterRatings, ValidatedConfig
+from .core import ExperimentConfig, ObservedRatings, RequesterRatings
 from .world import WorldModel, adversary_fill
 
 
@@ -46,7 +46,7 @@ def _prune_axis(mask: np.ndarray, cap: int, axis: int,
     return heavy.size
 
 
-def draw_assignment(cfg: ValidatedConfig, rng: np.random.Generator) -> AssignmentPlan:
+def draw_assignment(cfg: ExperimentConfig, rng: np.random.Generator) -> AssignmentPlan:
     """Include each (rater, item) pair independently with probability k/m,
     then prune rows with more than 2k ratings down to exactly 2k (uniformly
     random excess cells removed), then columns likewise. Rows first, index
@@ -59,7 +59,7 @@ def draw_assignment(cfg: ValidatedConfig, rng: np.random.Generator) -> Assignmen
                           pruned_cols=pruned_cols)
 
 
-def draw_self_ratings(cfg: ValidatedConfig,
+def draw_self_ratings(cfg: ExperimentConfig,
                       rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
     """Two item masks for the requester, each including item j independently
     with probability k0/m; the two draws come from spawned child streams so

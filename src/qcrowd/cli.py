@@ -9,7 +9,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -17,17 +17,15 @@ import click
 import numpy as np
 
 from . import analysis, quantile, solver, world
-from .analysis import run_trial, update_config
+from .analysis import run_trial
 from .assignment import draw_assignment
 from .core import (
     ConfigError,
     ExperimentConfig,
     GroundTruth,
-    ValidatedConfig,
+    SolverSettings,
     derive_rng,
-    validate_config,
 )
-from .solver import SolverSettings
 
 SEED_ENV_VAR = "QCROWD_SEED"
 
@@ -66,7 +64,7 @@ def _convert(raw: str, kind, key: str, line_no: int):
         ) from None
 
 
-def parse_config(text: str) -> ValidatedConfig:
+def parse_config(text: str) -> ExperimentConfig:
     """Parse flat `key = value` configuration text and validate it.
 
     One pair per line, '#' starts a comment, keys are the experiment
@@ -141,8 +139,8 @@ def parse_config(text: str) -> ValidatedConfig:
             f"line {lines[key]}: adversary parameters given without 'adversary ='"
         )
 
-    settings = SolverSettings(**solver_params) if solver_params else None
-    return validate_config(ExperimentConfig(adversary=adversary, solver=settings, **base))
+    return ExperimentConfig(adversary=adversary,
+                            solver=SolverSettings(**solver_params), **base)
 
 
 @dataclass(frozen=True)
@@ -193,7 +191,7 @@ def _trial_task(args):
     return run_trial(cfg, trial_seed, rho_scale=rho_scale)
 
 
-def _run_trials(cfg: ValidatedConfig, trials: int, jobs: int,
+def _run_trials(cfg: ExperimentConfig, trials: int, jobs: int,
                 rho_scale: float) -> list:
     tasks = [(cfg, cfg.seed + t, rho_scale) for t in range(trials)]
     if jobs > 1:
@@ -235,7 +233,7 @@ def run_experiment(spec: RunSpec) -> int:
             except ValueError:
                 raise ConfigError(
                     f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
-            cfg = update_config(cfg, seed=seed)
+            cfg = replace(cfg, seed=seed)
         spec.out_dir.mkdir(parents=True, exist_ok=True)
         if spec.mode == "run":
             grid = [cfg.k]
@@ -244,7 +242,7 @@ def run_experiment(spec: RunSpec) -> int:
         all_results = []
         summary_rows = []
         for k in grid:
-            results = _run_trials(update_config(cfg, k=k), spec.trials,
+            results = _run_trials(replace(cfg, k=k), spec.trials,
                                   spec.jobs, spec.rho_scale)
             all_results.extend(results)
             summary_rows.append(_summary_row(k, results))
@@ -279,13 +277,13 @@ def _require(cond, what: str) -> None:
 
 
 def _check_config_examples():
-    cfg = validate_config(ExperimentConfig(
-        n=10, m=12, alpha=0.4, beta=1 / 6, epsilon=0.2, delta=0.1, k=6, k0=6))
+    cfg = ExperimentConfig(
+        n=10, m=12, alpha=0.4, beta=1 / 6, epsilon=0.2, delta=0.1, k=6, k0=6)
     _require(cfg.alpha_n == 4 and cfg.beta_m == 2,
              f"alpha_n, beta_m = {cfg.alpha_n}, {cfg.beta_m}, expected 4, 2")
     try:
-        validate_config(ExperimentConfig(
-            n=10, m=5, alpha=0.5, beta=0.5, epsilon=0.5, delta=0.1, k=2, k0=2))
+        ExperimentConfig(
+            n=10, m=5, alpha=0.5, beta=0.5, epsilon=0.5, delta=0.1, k=2, k0=2)
     except ConfigError:
         pass
     else:
@@ -311,8 +309,8 @@ def _check_ground_truth():
 
 
 def _check_assignment_degrees():
-    cfg = validate_config(ExperimentConfig(
-        n=60, m=80, alpha=0.5, beta=0.25, epsilon=0.5, delta=0.1, k=8, k0=8))
+    cfg = ExperimentConfig(
+        n=60, m=80, alpha=0.5, beta=0.25, epsilon=0.5, delta=0.1, k=8, k0=8)
     for s in range(5):
         plan = draw_assignment(cfg, derive_rng(s, "assign"))
         _require(plan.row_degrees.max() <= 2 * cfg.k, "row degree above 2k")
@@ -339,9 +337,9 @@ def _check_projections():
 
 
 def _check_solver_small():
-    cfg = validate_config(ExperimentConfig(
+    cfg = ExperimentConfig(
         n=8, m=12, alpha=0.5, beta=0.25, epsilon=0.5, delta=0.1, k=12, k0=12,
-        solver=SolverSettings(max_iters=400)))
+        solver=SolverSettings(max_iters=400))
     rng = derive_rng(5, "solve")
     values = rng.random((8, 12))
     from .core import ObservedRatings
@@ -367,9 +365,9 @@ def _check_rounding():
 
 
 def _check_recover_exact():
-    cfg = validate_config(ExperimentConfig(
+    cfg = ExperimentConfig(
         n=20, m=20, alpha=1.0, beta=0.2, epsilon=0.2, delta=0.1, k=20, k0=20,
-        solver=SolverSettings(max_iters=600)))
+        solver=SolverSettings(max_iters=600))
     res = run_trial(cfg, 123, noise="noiseless", r_dist=("two_level", 0.0, 1.0))
     _require(res.quality_gap == 0.0, f"quality gap {res.quality_gap}, expected 0")
     _require(res.cardinality_ok and res.feasibility_ok,

@@ -11,7 +11,6 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from .solver import SolverSettings
     from .world import AdversaryStrategy
 
 # Feasibility slack shared by the solver and every post-solve assertion.
@@ -42,14 +41,37 @@ def derive_rng(seed: int, stream_label: str) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
+class SolverSettings:
+    """Knobs for the projected-subgradient solve.
+
+    eta0 is the base step size (None = 1 / estimated operator norm of the
+    ratings matrix); the step at iteration t is eta0 / sqrt(t).
+    """
+
+    max_iters: int = 2000
+    eta0: Optional[float] = None
+
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ConfigError("max_iters must be positive")
+        if self.eta0 is not None and not 0.0 < self.eta0 < math.inf:
+            raise ConfigError("eta0 must be positive and finite")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """All problem parameters for one experiment.
+    """All problem parameters for one experiment, validated on construction.
 
     n raters rate m items (m >= n). A fraction alpha of raters is reliable,
     the target is the set of the beta-fraction best items, epsilon is the
     target accuracy and delta the allowed failure probability. k and k0 are
     the per-rater and requester rating budgets; L and epsilon0 parametrize
     how faithfully reliable raters track the requester's true ranking.
+
+    Construction (and dataclasses.replace) raises ConfigError naming the
+    first violated constraint. alpha_n and beta_m are the round-half-up
+    integer counts used everywhere; rho is the nuclear-norm bound
+    2/(alpha*epsilon) * sqrt(alpha*beta*n*m).
     """
 
     n: int
@@ -64,95 +86,68 @@ class ExperimentConfig:
     epsilon0: float = 0.0
     seed: int = 0
     adversary: Optional["AdversaryStrategy"] = None
-    solver: Optional["SolverSettings"] = None
+    solver: SolverSettings = SolverSettings()
+    alpha_n: int = field(init=False)
+    beta_m: int = field(init=False)
+    rho: float = field(init=False)
 
+    def __post_init__(self):
+        def is_int(x) -> bool:
+            return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
-@dataclass(frozen=True)
-class ValidatedConfig:
-    """ExperimentConfig after validation, with derived integers precomputed.
+        if not is_int(self.n) or self.n < 1:
+            raise ConfigError("n must be a positive integer")
+        if not is_int(self.m) or self.m < 1:
+            raise ConfigError("m must be a positive integer")
+        if self.m < self.n:
+            raise ConfigError("m must be at least n")
+        for key in ("n", "m"):
+            if getattr(self, key) > sys.float_info.max:
+                raise ConfigError(f"{key} is too large to convert to a float")
+        if int(self.n) * int(self.m) > np.iinfo(np.intp).max:
+            raise ConfigError("n * m is too large for a rating matrix")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ConfigError("alpha must lie in (0, 1]")
+        if not 0.0 < self.beta <= 1.0:
+            raise ConfigError("beta must lie in (0, 1]")
+        if not 0.0 < self.epsilon <= 1.0:
+            raise ConfigError("epsilon must lie in (0, 1]")
+        if not 0.0 < self.delta < 1.0:
+            raise ConfigError("delta must lie in (0, 1)")
+        if not is_int(self.k) or self.k < 1:
+            raise ConfigError("k must be a positive integer")
+        if self.k > self.m:
+            raise ConfigError("k must be at most m")
+        if not is_int(self.k0) or self.k0 < 1:
+            raise ConfigError("k0 must be a positive integer")
+        if self.k0 > self.m:
+            raise ConfigError("k0 must be at most m")
+        if not 1.0 <= self.L < math.inf:
+            raise ConfigError("L must be finite and at least 1")
+        if not 0.0 <= self.epsilon0 < math.inf:
+            raise ConfigError("epsilon0 must be finite and non-negative")
 
-    alpha_n and beta_m are the round-half-up integer counts used everywhere;
-    rho is the nuclear-norm bound 2/(alpha*epsilon) * sqrt(alpha*beta*n*m).
-    """
-
-    n: int
-    m: int
-    alpha: float
-    beta: float
-    epsilon: float
-    delta: float
-    k: int
-    k0: int
-    L: float
-    epsilon0: float
-    seed: int
-    adversary: Optional["AdversaryStrategy"]
-    solver: "SolverSettings"
-    alpha_n: int = field(default=0)
-    beta_m: int = field(default=0)
-    rho: float = field(default=0.0)
-
-
-def validate_config(cfg: ExperimentConfig) -> ValidatedConfig:
-    """Check every config constraint and precompute alpha_n, beta_m, rho.
-
-    Raises ConfigError naming the first violated constraint.
-    """
-    def is_int(x) -> bool:
-        return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-    if not is_int(cfg.n) or cfg.n < 1:
-        raise ConfigError("n must be a positive integer")
-    if not is_int(cfg.m) or cfg.m < 1:
-        raise ConfigError("m must be a positive integer")
-    if cfg.m < cfg.n:
-        raise ConfigError("m must be at least n")
-    for key in ("n", "m"):
-        if getattr(cfg, key) > sys.float_info.max:
-            raise ConfigError(f"{key} is too large to convert to a float")
-    if not 0.0 < cfg.alpha <= 1.0:
-        raise ConfigError("alpha must lie in (0, 1]")
-    if not 0.0 < cfg.beta <= 1.0:
-        raise ConfigError("beta must lie in (0, 1]")
-    if not 0.0 < cfg.epsilon <= 1.0:
-        raise ConfigError("epsilon must lie in (0, 1]")
-    if not 0.0 < cfg.delta < 1.0:
-        raise ConfigError("delta must lie in (0, 1)")
-    if not is_int(cfg.k) or cfg.k < 1:
-        raise ConfigError("k must be a positive integer")
-    if cfg.k > cfg.m:
-        raise ConfigError("k must be at most m")
-    if not is_int(cfg.k0) or cfg.k0 < 1:
-        raise ConfigError("k0 must be a positive integer")
-    if cfg.k0 > cfg.m:
-        raise ConfigError("k0 must be at most m")
-    if not 1.0 <= cfg.L < math.inf:
-        raise ConfigError("L must be finite and at least 1")
-    if not 0.0 <= cfg.epsilon0 < math.inf:
-        raise ConfigError("epsilon0 must be finite and non-negative")
-
-    alpha_n = round_half_up(cfg.alpha * cfg.n)
-    beta_m = round_half_up(cfg.beta * cfg.m)
-    if alpha_n < 1:
-        raise ConfigError("round(alpha * n) must be at least 1")
-    if beta_m < 1:
-        raise ConfigError("round(beta * m) must be at least 1")
-
-    from .solver import SolverSettings  # deferred: solver imports core
-
-    solver = cfg.solver if cfg.solver is not None else SolverSettings()
-    solver.validate()
-
-    rho = (2.0 / (cfg.alpha * cfg.epsilon)) * math.sqrt(
-        cfg.alpha * cfg.beta * cfg.n * cfg.m
-    )
-    return ValidatedConfig(
-        n=int(cfg.n), m=int(cfg.m), alpha=float(cfg.alpha), beta=float(cfg.beta),
-        epsilon=float(cfg.epsilon), delta=float(cfg.delta), k=int(cfg.k),
-        k0=int(cfg.k0), L=float(cfg.L), epsilon0=float(cfg.epsilon0),
-        seed=int(cfg.seed), adversary=cfg.adversary, solver=solver,
-        alpha_n=alpha_n, beta_m=beta_m, rho=rho,
-    )
+        alpha_n = round_half_up(self.alpha * self.n)
+        beta_m = round_half_up(self.beta * self.m)
+        if alpha_n < 1:
+            raise ConfigError("round(alpha * n) must be at least 1")
+        if beta_m < 1:
+            raise ConfigError("round(beta * m) must be at least 1")
+        if not isinstance(self.solver, SolverSettings):
+            raise ConfigError("solver must be a SolverSettings")
+        rho = (2.0 / (self.alpha * self.epsilon)) * math.sqrt(
+            self.alpha * self.beta * self.n * self.m
+        )
+        # derived values come from the values as given, then every field is
+        # normalized to a builtin int or float; results.csv bytes rely on both
+        for name, kind in (("n", int), ("m", int), ("alpha", float),
+                           ("beta", float), ("epsilon", float),
+                           ("delta", float), ("k", int), ("k0", int),
+                           ("L", float), ("epsilon0", float), ("seed", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        object.__setattr__(self, "alpha_n", alpha_n)
+        object.__setattr__(self, "beta_m", beta_m)
+        object.__setattr__(self, "rho", rho)
 
 
 def top_indices(values: np.ndarray, count: int) -> np.ndarray:
@@ -267,12 +262,6 @@ def feasibility_residuals(M: np.ndarray, beta_m: int, rho: float) -> dict:
     nuclear = float(np.linalg.svd(M, compute_uv=False).sum())
     nuc = max((nuclear - rho) / rho, 0.0)
     return {"box": box, "row": row, "nuc": nuc}
-
-
-def is_feasible(M: np.ndarray, beta_m: int, rho: float,
-                tol_feas: float = TOL_FEAS, tol_nuc: float = TOL_NUC) -> bool:
-    res = feasibility_residuals(M, beta_m, rho)
-    return res["box"] <= tol_feas and res["row"] <= tol_feas and res["nuc"] <= tol_nuc
 
 
 @dataclass(frozen=True)

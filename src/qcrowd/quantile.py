@@ -10,7 +10,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import SelectionSet, ValidatedConfig, top_indices
+from .core import ExperimentConfig, SelectionSet, top_indices
 
 
 class EmptySetError(ValueError):
@@ -82,7 +82,7 @@ def randomized_round(T0: np.ndarray, rng: np.random.Generator) -> SelectionSet:
 
 
 def accept_loop(T0: np.ndarray, r_tilde_prime: np.ndarray,
-                cfg: ValidatedConfig, rng: np.random.Generator) -> RoundingTrace:
+                cfg: ExperimentConfig, rng: np.random.Generator) -> RoundingTrace:
     """Round repeatedly until the candidate's inner product with the second
     rating pass clears <T0, r_tilde_prime> - (epsilon/4) * beta * k0.
 
@@ -118,7 +118,7 @@ def accept_loop(T0: np.ndarray, r_tilde_prime: np.ndarray,
 
 
 def recover_quantile(M: np.ndarray, r_tilde: np.ndarray,
-                     r_tilde_prime: np.ndarray, cfg: ValidatedConfig,
+                     r_tilde_prime: np.ndarray, cfg: ExperimentConfig,
                      rng: np.random.Generator
                      ) -> Tuple[SelectionSet, RoundingTrace]:
     """Full extraction: score rows with r_tilde, average the alpha_n best,

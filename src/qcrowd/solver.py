@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .core import (
-    ConfigError,
+    ExperimentConfig,
     QuantileMatrix,
-    ValidatedConfig,
+    SolverSettings,  # re-exported: qcrowd.solver.SolverSettings
     feasibility_residuals,
 )
 
@@ -30,24 +30,6 @@ class SvdFailure(RuntimeError):
 STOP_REL_OBJ = 1e-6
 STOP_WINDOW = 25
 DYKSTRA_SWEEPS = 30  # Dykstra sweeps per projected step
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """Knobs for the projected-subgradient solve.
-
-    eta0 is the base step size (None = 1 / estimated operator norm of the
-    ratings matrix); the step at iteration t is eta0 / sqrt(t).
-    """
-
-    max_iters: int = 2000
-    eta0: Optional[float] = None
-
-    def validate(self) -> None:
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be positive")
-        if self.eta0 is not None and not 0.0 < self.eta0 < math.inf:
-            raise ConfigError("eta0 must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -103,14 +85,6 @@ def project_capped_box_simplex(v: np.ndarray, cap: float) -> np.ndarray:
     return _project_rows(v[None, :], cap)[0]
 
 
-def _fix_svd_signs(U: np.ndarray, Vt: np.ndarray) -> None:
-    """Make the largest-magnitude entry of each left singular vector positive."""
-    lead = np.abs(U).argmax(axis=0)
-    flip = U[lead, np.arange(U.shape[1])] < 0
-    U[:, flip] *= -1.0
-    Vt[flip] *= -1.0
-
-
 def _simplex_threshold(s: np.ndarray, radius: float) -> np.ndarray:
     """Project a descending non-negative vector onto {x >= 0, sum x = radius}
     via the sorted-threshold rule."""
@@ -157,7 +131,6 @@ def project_nuclear_ball(M: np.ndarray, rho: float) -> np.ndarray:
     U, s, Vt = _svd(M, compute_uv=True)
     if float(s.sum()) <= rho:
         return M
-    _fix_svd_signs(U, Vt)
     return (U * _simplex_threshold(s, rho)) @ Vt
 
 
@@ -211,7 +184,7 @@ def _polish(M: np.ndarray, cap: float, rho: float) -> np.ndarray:
     return X
 
 
-def solve_recover_M(ratings, cfg: ValidatedConfig, *,
+def solve_recover_M(ratings, cfg: ExperimentConfig, *,
                     rho_scale: float = 1.0) -> Tuple[QuantileMatrix, SolveReport]:
     """Solve the constrained linear program for the quantile matrix.
 

@@ -12,7 +12,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import GroundTruth, ValidatedConfig, derive_rng, round_half_up
+from .core import ExperimentConfig, GroundTruth, derive_rng, round_half_up
 
 
 class StrategyError(ValueError):
@@ -255,7 +255,7 @@ def adversary_fill(strategy: AdversaryStrategy, plan, reliable_values: np.ndarra
     return values * plan.mask[adv_rows]
 
 
-def build_world(cfg: ValidatedConfig, rng: np.random.Generator, *,
+def build_world(cfg: ExperimentConfig, rng: np.random.Generator, *,
                 noise: str = "bernoulli", r_dist=None) -> WorldModel:
     """Canonical world for a config: ground truth, reliable set, profile.
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcrowd import ExperimentConfig, SolverSettings, validate_config
+from qcrowd import ExperimentConfig, SolverSettings
 
 
 def make_config(**overrides):
@@ -9,7 +9,7 @@ def make_config(**overrides):
     base = dict(n=10, m=12, alpha=0.4, beta=1 / 6, epsilon=0.2, delta=0.1,
                 k=6, k0=6, solver=SolverSettings(max_iters=300))
     base.update(overrides)
-    return validate_config(ExperimentConfig(**base))
+    return ExperimentConfig(**base)
 
 
 @pytest.fixture

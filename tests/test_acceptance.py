@@ -27,7 +27,6 @@ from qcrowd import (
     round_offsets,
     run_trial,
     solve_recover_M,
-    validate_config,
 )
 from qcrowd.world import build_world
 
@@ -68,9 +67,9 @@ def test_criterion_03_solver_oracle_equivalence():
     # 50 random instances with the nuclear ball inflated to inactivity: the
     # program separates across rows and the greedy oracle is exact
     rng = derive_rng(3, "oracle-instances")
-    cfg = validate_config(ExperimentConfig(
+    cfg = ExperimentConfig(
         n=20, m=30, alpha=0.5, beta=0.25, epsilon=0.5, delta=0.1, k=30, k0=30,
-        solver=SolverSettings(max_iters=200, eta0=1e8)))
+        solver=SolverSettings(max_iters=200, eta0=1e8))
     rho_slack = cfg.beta_m * math.sqrt(cfg.n * cfg.m)
     worst_rel = 0.0
     for _ in range(50):
@@ -149,8 +148,8 @@ def test_criterion_04_projection_correctness():
 
 
 def test_criterion_05_honest_world_exactness():
-    cfg = validate_config(ExperimentConfig(
-        n=60, m=60, alpha=1.0, beta=0.2, epsilon=0.2, delta=0.1, k=60, k0=60))
+    cfg = ExperimentConfig(
+        n=60, m=60, alpha=1.0, beta=0.2, epsilon=0.2, delta=0.1, k=60, k0=60)
     results = [run_trial(cfg, 1000 + s, noise="noiseless",
                          r_dist=("two_level", 0.0, 1.0)) for s in range(20)]
     _track(results, cfg)
@@ -168,10 +167,10 @@ def trend_results():
     out = {}
     for adv in TREND_ADVERSARIES:
         for k in TREND_K_GRID:
-            cfg = validate_config(ExperimentConfig(
+            cfg = ExperimentConfig(
                 n=200, m=200, alpha=0.3, beta=0.2, epsilon=0.2, delta=0.1,
                 k=k, k0=100, adversary=adv,
-                solver=SolverSettings(max_iters=400, eta0=0.1)))
+                solver=SolverSettings(max_iters=400, eta0=0.1))
             results = [run_trial(cfg, 60000 + s, noise="noiseless",
                                  r_dist="uniform") for s in range(20)]
             _track(results, cfg)
@@ -195,9 +194,9 @@ def test_criterion_06_adversarial_trend(trend_results):
 
 
 def test_criterion_07_accept_loop_frequency():
-    cfg = validate_config(ExperimentConfig(
+    cfg = ExperimentConfig(
         n=10, m=100, alpha=0.5, beta=0.4, epsilon=0.5, delta=0.1, k=10, k0=50,
-        adversary=SymmetricBlocks()))
+        adversary=SymmetricBlocks())
     slack = cfg.epsilon / 4 * cfg.beta * cfg.k0
     total_iters = accepts = exhausted = used = 0
     for s in range(500):
@@ -228,10 +227,10 @@ def test_criterion_07_accept_loop_frequency():
 def test_criterion_08_deviation_concentration():
     n, alpha, beta, eps, delta = 40, 0.5, 0.5, 0.5, 0.1
     _, k0 = chernoff_budget(n, int(alpha * n), delta, eps, beta)
-    cfg = validate_config(ExperimentConfig(
+    cfg = ExperimentConfig(
         n=n, m=600, alpha=alpha, beta=beta, epsilon=eps, delta=delta,
         k=30, k0=k0, adversary=SymmetricBlocks(),
-        solver=SolverSettings(max_iters=60, eta0=0.1)))
+        solver=SolverSettings(max_iters=60, eta0=0.1))
     trials = 200
     results = [run_trial(cfg, 81000 + s) for s in range(trials)]
     _track(results, cfg)
@@ -246,9 +245,9 @@ def test_criterion_08_deviation_concentration():
 def test_criterion_09_operator_norm_scaling():
     medians = {}
     for k in (25, 100, 400):
-        cfg = validate_config(ExperimentConfig(
+        cfg = ExperimentConfig(
             n=400, m=400, alpha=1.0, beta=0.2, epsilon=0.2, delta=0.1,
-            k=k, k0=100))
+            k=k, k0=100)
         vals = []
         for s in range(11):
             seed = 70000 + s
@@ -272,10 +271,10 @@ def test_criterion_10_monotonicity_transfer(trend_results):
             worst = max(worst, r.gap_r - (1.0 * r.gap_a + 0.0))
             checked += 1
     # additionally exercise a profile with slope genuinely below 1 (L = 2)
-    cfg = validate_config(ExperimentConfig(
+    cfg = ExperimentConfig(
         n=60, m=60, alpha=0.5, beta=0.2, epsilon=0.2, delta=0.1, k=30, k0=30,
         L=2.0, adversary=SymmetricBlocks(block_low=0.8),
-        solver=SolverSettings(max_iters=300, eta0=0.1)))
+        solver=SolverSettings(max_iters=300, eta0=0.1))
     affine = [run_trial(cfg, 62000 + s, noise="noiseless")
               for s in range(10)]
     _track(affine, cfg)

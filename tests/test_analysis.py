@@ -1,14 +1,19 @@
+import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from qcrowd import (
+    ConfigError,
     GroundTruth,
     RandomSpam,
     SelectionSet,
     SolverSettings,
+    TOL_FEAS,
+    TOL_NUC,
     WorldModel,
     chernoff_budget,
     denoised_matrix,
@@ -20,8 +25,8 @@ from qcrowd import (
     quality_gap,
     realize_observations,
     run_trial,
-    update_config,
 )
+from qcrowd import analysis
 
 from conftest import make_config
 
@@ -225,13 +230,25 @@ class TestRunTrial:
         b = run_trial(cfg, 9)
         assert a == b
 
-    def test_reports_feasibility_and_cardinality(self):
+    def test_reports_feasibility_and_cardinality(self, monkeypatch):
         cfg = make_config(adversary=RandomSpam(0.7),
                           solver=SolverSettings(max_iters=120))
         res = run_trial(cfg, 10)
         assert res.feasibility_ok
         assert res.cardinality_ok
         assert -1.0 <= res.quality_gap <= 1.0
+        # feasibility_ok holds the solver's residuals to TOL_FEAS / TOL_NUC
+        solve = analysis.solve_recover_M
+        for name, tol in (("residual_box", TOL_FEAS), ("residual_row", TOL_FEAS),
+                          ("residual_nuc", TOL_NUC)):
+            for scale, ok in ((0.5, True), (2.0, False)):
+                def off_by(*args, **kwargs):
+                    matrix, report = solve(*args, **kwargs)
+                    return matrix, dataclasses.replace(report, **{name: scale * tol})
+                monkeypatch.setattr(analysis, "solve_recover_M", off_by)
+                res = run_trial(cfg, 10)
+                assert res.feasibility_ok is ok
+                assert getattr(res, name) == scale * tol
 
     def test_not_converged_propagates_when_disallowed(self):
         # the iterate is kept; non-convergence shows in the result only
@@ -241,11 +258,22 @@ class TestRunTrial:
         assert not res.solver_converged
 
 
-class TestUpdateConfig:
+class TestReplaceConfig:
     def test_revalidates(self):
         cfg = make_config()
-        cfg2 = update_config(cfg, k=3)
+        cfg2 = dataclasses.replace(cfg, k=3)
         assert cfg2.k == 3 and cfg2.beta_m == cfg.beta_m
-        from qcrowd import ConfigError
-        with pytest.raises(ConfigError):
-            update_config(cfg, k=cfg.m + 1)
+        with pytest.raises(ConfigError, match="k must be at most m"):
+            dataclasses.replace(cfg, k=cfg.m + 1)
+
+    def test_recomputes_derived_values(self):
+        cfg = make_config(n=10, m=12, beta=1 / 6)
+        wider = dataclasses.replace(cfg, m=24)
+        assert (cfg.beta_m, wider.beta_m) == (2, 4)
+        assert wider.rho == pytest.approx(cfg.rho * math.sqrt(2))
+        assert wider == make_config(n=10, m=24, beta=1 / 6)
+
+    def test_survives_pickle(self):
+        # --jobs > 1 sends the config to worker processes
+        cfg = make_config(adversary=RandomSpam(0.7))
+        assert pickle.loads(pickle.dumps(cfg)) == cfg

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import qcrowd
-from qcrowd import ConfigError, DenseHalfPositive, SymmetricBlocks, ValidatedConfig
+from qcrowd import ConfigError, DenseHalfPositive, ExperimentConfig, SymmetricBlocks
 from qcrowd.cli import (
     RESULT_COLUMNS,
     ParseError,
@@ -143,7 +143,7 @@ def test_parse_config_validates_or_raises_a_config_error(overrides, dropped,
         cfg = parse_config(text)
     except (ParseError, ConfigError):
         return
-    assert isinstance(cfg, ValidatedConfig)
+    assert isinstance(cfg, ExperimentConfig)
 
 
 @pytest.fixture
@@ -323,6 +323,9 @@ class TestMainCommand:
                      [], {}, "solver.stop_window", id="removed-solver-key"),
         pytest.param("n = 10\nm = 12", f"n = {_HUGE}\nm = {_HUGE}",
                      [], {}, "n is too large", id="huge-n-m"),
+        *(pytest.param("n = 10\nm = 12", f"n = {v}\nm = {v}", [], {},
+                       "n * m is too large", id=f"n=m={label}")
+          for v, label in ((10**10, "1e10"), (10**200, "1e200"))),
         pytest.param("# toy", "# \xff toy", [], {}, "utf-8", id="not-utf8"),
     ])
     def test_malformed_input_gives_one_error_line(self, tmp_path, old, new,

@@ -10,8 +10,6 @@ from qcrowd import (
     SelectionSet,
     derive_rng,
     feasibility_residuals,
-    is_feasible,
-    validate_config,
 )
 from qcrowd.core import round_half_up, top_indices
 
@@ -51,10 +49,14 @@ class TestValidateConfig:
         ("epsilon0", float("nan"), "epsilon0"),
         ("epsilon0", float("inf"), "epsilon0"),
         ("n", 0, "n"),
+        ("solver", None, "solver must be a SolverSettings"),
+        pytest.param("n,m", 10**10, "n \\* m is too large", id="n=m=1e10"),
+        pytest.param("n,m", 10**200, "n \\* m is too large", id="n=m=1e200"),
     ])
     def test_rejections_name_the_constraint(self, field, value, msg):
+        # "n,m" sets both fields to the value
         with pytest.raises(ConfigError, match=msg):
-            make_config(**{field: value})
+            make_config(**dict.fromkeys(field.split(","), value))
 
     def test_tiny_quantile_rejected(self):
         # round(beta * m) = 0
@@ -154,11 +156,6 @@ class TestFeasibility:
         M = np.diag([3.0, 1.0])
         res = feasibility_residuals(M, 4, 2.0)
         assert res["nuc"] == pytest.approx((4.0 - 2.0) / 2.0)
-
-    def test_is_feasible_respects_tolerances(self):
-        M = np.full((2, 3), 1.0 + 5e-7)
-        assert is_feasible(M, 4, 100.0)
-        assert not is_feasible(M, 4, 100.0, tol_feas=1e-8)
 
 
 class TestTopIndices:
