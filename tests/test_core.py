@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,10 +9,14 @@ from qcrowd import (
     ExperimentConfig,
     GroundTruth,
     ObservedRatings,
+    RandomSpam,
     SelectionSet,
+    SolverSettings,
     derive_rng,
     feasibility_residuals,
+    run_trial,
 )
+from qcrowd import analysis
 from qcrowd.core import round_half_up, top_indices
 
 from conftest import make_config
@@ -156,6 +162,24 @@ class TestFeasibility:
         M = np.diag([3.0, 1.0])
         res = feasibility_residuals(M, 4, 2.0)
         assert res["nuc"] == pytest.approx((4.0 - 2.0) / 2.0)
+
+    def test_is_feasible_respects_tolerances(self, monkeypatch):
+        # run_trial's feasibility_ok holds these residuals to TOL_FEAS
+        res = feasibility_residuals(np.full((2, 3), 1.0 + 5e-7), 4, 100.0)
+        solve = analysis.solve_recover_M
+
+        def with_residuals(*args, **kwargs):
+            matrix, report = solve(*args, **kwargs)
+            return matrix, dataclasses.replace(
+                report, residual_box=res["box"], residual_row=res["row"],
+                residual_nuc=res["nuc"])
+
+        monkeypatch.setattr(analysis, "solve_recover_M", with_residuals)
+        cfg = make_config(adversary=RandomSpam(0.7),
+                          solver=SolverSettings(max_iters=120))
+        assert run_trial(cfg, 10).feasibility_ok
+        monkeypatch.setattr(analysis, "TOL_FEAS", 1e-8)
+        assert not run_trial(cfg, 10).feasibility_ok
 
 
 class TestTopIndices:
