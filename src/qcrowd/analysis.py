@@ -72,28 +72,12 @@ def denoised_matrix(world: WorldModel, observed: ObservedRatings,
     return B
 
 
-def operator_norm(M: np.ndarray, iters: int = 300, tol: float = 1e-9) -> float:
-    """Largest singular value by power iteration on M^T M.
-
-    Deterministic start vector, so repeated calls agree bit for bit.
-    """
+def operator_norm(M: np.ndarray) -> float:
+    """Largest singular value of M (LAPACK); 0.0 for an empty matrix."""
     M = np.asarray(M, dtype=float)
-    if M.size == 0 or not M.any():
+    if M.size == 0:
         return 0.0
-    m = M.shape[1]
-    v = np.linspace(1.0, 2.0, m)
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(iters):
-        w = M.T @ (M @ v)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        previous, estimate = estimate, math.sqrt(norm_w)
-        if abs(estimate - previous) <= tol * max(1.0, estimate):
-            break
-    return estimate
+    return float(np.linalg.norm(M, 2))
 
 
 def deviations(M: np.ndarray, r_tilde: np.ndarray, r_star: np.ndarray,

@@ -11,7 +11,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import click
 import numpy as np
@@ -24,6 +24,7 @@ from .core import (
     ExperimentConfig,
     GroundTruth,
     SolverSettings,
+    TOL_FEAS,
     derive_rng,
 )
 
@@ -38,12 +39,11 @@ _REQUIRED_KEYS = ("n", "m", "alpha", "beta", "epsilon", "delta", "k", "k0")
 _INT_KEYS = {"n", "m", "k", "k0", "seed"}
 _FLOAT_KEYS = {"alpha", "beta", "epsilon", "delta", "L", "epsilon0"}
 
+# strategy name -> (class, {settable parameter: int or float})
 _ADVERSARIES = {
-    "RandomSpam": (world.RandomSpam, {"p_high": float}),
-    "AntiCorrelated": (world.AntiCorrelated, {}),
-    "SymmetricBlocks": (world.SymmetricBlocks, {"block_low": float}),
-    "DenseHalfPositive": (world.DenseHalfPositive, {"block_size": int}),
-    "MirroredCopy": (world.MirroredCopy, {"perm_seed": int}),
+    cls.__name__: (cls, {name: kind for name, kind in get_type_hints(cls).items()
+                         if kind in (int, float)})
+    for cls in world.STRATEGIES
 }
 
 _SOLVER_KEYS = {"max_iters": int, "eta0": float}
@@ -348,7 +348,7 @@ def _check_solver_small():
     greedy = solver.greedy_row_oracle(values, cfg.beta_m)
     _require(report.objective <= float(np.vdot(values, greedy)) + 1e-9,
              "solver objective exceeds the greedy upper bound")
-    _require(report.residual_box <= 1e-6 and report.residual_row <= 1e-6,
+    _require(report.residual_box <= TOL_FEAS and report.residual_row <= TOL_FEAS,
              "solver output violates the box or row-sum constraints")
 
 
@@ -440,8 +440,8 @@ def main(config_path, out_dir, trials, jobs, mode, allow_nonconverged, rho_scale
                        allow_nonconverged=allow_nonconverged,
                        rho_scale=rho_scale)
         code = run_experiment(spec)
-    except (ConfigError, ParseError, world.StrategyError, world.ProfileError,
-            UnicodeDecodeError, OSError) as exc:
+    except (ConfigError, ParseError, world.ProfileError, UnicodeDecodeError,
+            OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     sys.exit(code)

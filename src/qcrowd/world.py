@@ -12,10 +12,11 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import ExperimentConfig, GroundTruth, derive_rng, round_half_up
+from .core import (
+    ConfigError, ExperimentConfig, GroundTruth, derive_rng, round_half_up)
 
 
-class StrategyError(ValueError):
+class StrategyError(ConfigError):
     """Raised for invalid adversary-strategy parameters."""
 
 
@@ -28,6 +29,10 @@ class RandomSpam:
     """Rates every assigned cell 1 with probability p_high, else 0."""
 
     p_high: float = 0.5
+
+    def __post_init__(self):
+        if not 0.0 <= self.p_high <= 1.0:
+            raise StrategyError("p_high must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,10 @@ class SymmetricBlocks:
 
     block_low: float = 0.8
 
+    def __post_init__(self):
+        if not 0.0 <= self.block_low <= 1.0:
+            raise StrategyError("block_low must lie in [0, 1]")
+
 
 @dataclass(frozen=True)
 class DenseHalfPositive:
@@ -55,6 +64,10 @@ class DenseHalfPositive:
     block_size: int = 0  # 0 = derive 3*alpha*beta*n from the config
     halves: Optional[Tuple[Tuple[int, ...], ...]] = None
 
+    def __post_init__(self):
+        if self.block_size < 0:
+            raise StrategyError("block_size must be at least 0")
+
 
 @dataclass(frozen=True)
 class MirroredCopy:
@@ -63,9 +76,9 @@ class MirroredCopy:
     perm_seed: int = 0
 
 
-AdversaryStrategy = Union[
-    RandomSpam, AntiCorrelated, SymmetricBlocks, DenseHalfPositive, MirroredCopy
-]
+STRATEGIES = (RandomSpam, AntiCorrelated, SymmetricBlocks, DenseHalfPositive,
+              MirroredCopy)
+AdversaryStrategy = Union[STRATEGIES]
 
 
 @dataclass(frozen=True)
@@ -99,17 +112,11 @@ def generate_ground_truth(m: int, dist, rng: np.random.Generator, *,
                           beta_m: int) -> GroundTruth:
     """Draw r_star i.i.d. from dist and mark its beta_m largest entries.
 
-    dist is "uniform", ("bernoulli", q), or ("two_level", lo, hi); the
-    two-level variant places beta_m items at hi (random positions) and the
-    rest at lo.
+    dist is "uniform" or ("two_level", lo, hi); the two-level variant places
+    beta_m items at hi (random positions) and the rest at lo.
     """
-    if dist == "uniform" or dist == ("uniform",):
+    if dist == "uniform":
         r = rng.uniform(0.0, 1.0, size=m)
-    elif isinstance(dist, tuple) and dist[0] == "bernoulli":
-        q = float(dist[1])
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("bernoulli parameter must lie in [0, 1]")
-        r = rng.binomial(1, q, size=m).astype(float)
     elif isinstance(dist, tuple) and dist[0] == "two_level":
         lo, hi = float(dist[1]), float(dist[2])
         if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0 and lo <= hi):
@@ -208,14 +215,10 @@ def adversary_fill(strategy: AdversaryStrategy, plan, reliable_values: np.ndarra
     ordinal = np.arange(n_adv)
 
     if isinstance(strategy, RandomSpam):
-        if not 0.0 <= strategy.p_high <= 1.0:
-            raise StrategyError("p_high must lie in [0, 1]")
         values = rng.binomial(1, strategy.p_high, size=(n_adv, m)).astype(float)
     elif isinstance(strategy, AntiCorrelated):
         values = np.tile(1.0 - r_star, (n_adv, 1))
     elif isinstance(strategy, SymmetricBlocks):
-        if not 0.0 <= strategy.block_low <= 1.0:
-            raise StrategyError("block_low must lie in [0, 1]")
         # Item blocks: consecutive beta_m-sized groups in descending r_star
         # order (block 0 is the true top set), taken cyclically.
         desc = np.argsort(-r_star, kind="stable")
@@ -229,8 +232,6 @@ def adversary_fill(strategy: AdversaryStrategy, plan, reliable_values: np.ndarra
         size = strategy.block_size
         if size == 0:
             size = max(round_half_up(3.0 * (alpha_n / n) * (beta_m / m) * n), 1)
-        if size < 1:
-            raise StrategyError("block_size must be positive")
         block = _group_of(ordinal, size, n_adv)
         n_blocks = int(block.max()) + 1
         if strategy.halves is not None:
@@ -267,8 +268,6 @@ def build_world(cfg: ExperimentConfig, rng: np.random.Generator, *,
     """
     if r_dist is None:
         if isinstance(cfg.adversary, SymmetricBlocks):
-            if not 0.0 <= cfg.adversary.block_low <= 1.0:
-                raise StrategyError("block_low must lie in [0, 1]")
             # match the attack's block contrast so the adversary groups are
             # genuinely indistinguishable without the requester's ratings
             r_dist = ("two_level", cfg.adversary.block_low, 1.0)

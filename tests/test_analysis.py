@@ -136,7 +136,7 @@ class TestOperatorNorm:
         rng = np.random.default_rng(5)
         M = rng.standard_normal((50, 80))
         want = np.linalg.svd(M, compute_uv=False)[0]
-        assert operator_norm(M) == pytest.approx(want, rel=1e-6)
+        assert operator_norm(M) == pytest.approx(want, rel=1e-12)
 
     def test_zero_matrix(self):
         assert operator_norm(np.zeros((3, 4))) == 0.0

@@ -315,6 +315,9 @@ class TestMainCommand:
                      id="p_high=2"),
         pytest.param("block_low = 0.8", "block_low = 1.5", [], {}, "block_low",
                      id="block_low=1.5"),
+        pytest.param("SymmetricBlocks\nadversary.block_low = 0.8",
+                     "DenseHalfPositive\nadversary.block_size = -1", [], {},
+                     "block_size", id="block_size=-1"),
         pytest.param("max_iters = 250", "max_iters = 0", [], {}, "max_iters",
                      id="max_iters=0"),
         pytest.param("max_iters = 250", "eta0 = nan", [], {}, "eta0",
@@ -341,3 +344,4 @@ class TestMainCommand:
         assert len(lines) == 1 and lines[0].startswith("error:"), result.output
         assert names in lines[0]
         assert "Traceback" not in result.output
+        assert not (tmp_path / "o").exists()  # rejected before any output

@@ -3,6 +3,7 @@ import pytest
 
 from qcrowd import (
     AntiCorrelated,
+    ConfigError,
     DenseHalfPositive,
     GroundTruth,
     ProfileError,
@@ -44,12 +45,6 @@ class TestGenerateGroundTruth:
         cut = np.sort(gt.r_star)[::-1][6]
         assert np.all(gt.r_star[gt.t_star == 1] >= cut)
         assert np.all(gt.r_star[gt.t_star == 0] <= cut)
-
-    def test_bernoulli_count_fixed_regardless_of_draw(self):
-        for seed in range(10):
-            gt = generate_ground_truth(12, ("bernoulli", 0.5),
-                                       derive_rng(seed, "gt"), beta_m=2)
-            assert gt.t_star.sum() == 2
 
     def test_unknown_dist_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -160,11 +155,8 @@ class TestSymmetricBlocks:
         assert np.array_equal(fill[6], fill[5])
 
     def test_bad_parameter_rejected(self):
-        gt = _descending_gt(6, 2)
         with pytest.raises(StrategyError):
-            adversary_fill(SymmetricBlocks(block_low=1.5), full_plan(4, 6),
-                           np.tile(gt.r_star, (2, 1)), np.arange(2), gt,
-                           derive_rng(0, "adv"))
+            SymmetricBlocks(block_low=1.5)
 
 
 # 0-indexed halves of the 10x12 spam example: three blocks of two raters,
@@ -209,6 +201,28 @@ class TestDenseHalfPositive:
             adversary_fill(DenseHalfPositive(halves=((0, 1),)),
                            full_plan(10, 12), np.tile(gt.r_star, (4, 1)),
                            np.arange(4), gt, derive_rng(0, "adv"))
+
+
+class TestStrategyParameters:
+    @pytest.mark.parametrize("cls,name,value", [
+        (RandomSpam, "p_high", -0.1),
+        (RandomSpam, "p_high", 1.5),
+        (RandomSpam, "p_high", float("nan")),
+        (SymmetricBlocks, "block_low", -0.1),
+        (SymmetricBlocks, "block_low", float("nan")),
+        (DenseHalfPositive, "block_size", -1),
+    ], ids=lambda v: str(v) if not isinstance(v, type) else v.__name__)
+    def test_out_of_range_rejected_as_config_error(self, cls, name, value):
+        with pytest.raises(ConfigError, match=name) as info:
+            cls(**{name: value})
+        assert isinstance(info.value, StrategyError)
+
+    def test_range_ends_accepted(self):
+        assert RandomSpam(p_high=0.0).p_high == 0.0
+        assert RandomSpam(p_high=1.0).p_high == 1.0
+        assert SymmetricBlocks(block_low=0.0).block_low == 0.0
+        assert SymmetricBlocks(block_low=1.0).block_low == 1.0
+        assert DenseHalfPositive(block_size=0).block_size == 0
 
 
 class TestSimpleStrategies:
