@@ -126,9 +126,7 @@ def chernoff_budget(n: int, v: int, delta: float, epsilon: float,
     return int(math.ceil(base)), int(math.ceil(base / beta))
 
 
-def run_trial(cfg: ExperimentConfig, trial_seed: int, *,
-              noise: str = "bernoulli", rho_scale: float = 1.0,
-              r_dist=None) -> TrialResult:
+def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
     """One end-to-end experiment: build a world, collect ratings, solve for
     the quantile matrix, extract a selection, and score every claim.
 
@@ -141,13 +139,13 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, *,
     rng_requester = derive_rng(trial_seed, "requester")
     rng_round = derive_rng(trial_seed, "round")
 
-    world = build_world(cfg, rng_world, noise=noise, r_dist=r_dist)
+    world = build_world(cfg, rng_world)
     plan = draw_assignment(cfg, rng_assign)
     observed = realize_observations(plan, world, rng_values)
     masks = draw_self_ratings(cfg, rng_requester)
     requester = realize_requester(world, masks, rng_requester)
 
-    matrix, report = solve_recover_M(observed, cfg, rho_scale=rho_scale)
+    matrix, report = solve_recover_M(observed, cfg)
 
     selection, trace = recover_quantile(
         matrix.M, requester.r_tilde, requester.r_tilde_prime, cfg, rng_round)

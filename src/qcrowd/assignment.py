@@ -71,13 +71,6 @@ def draw_self_ratings(cfg: ExperimentConfig,
     return mask_a, mask_b
 
 
-def _draw_values(means: np.ndarray, noise: str,
-                 rng: np.random.Generator) -> np.ndarray:
-    if noise == "noiseless":
-        return means.copy()
-    return (rng.random(means.shape) < means).astype(float)
-
-
 def realize_observations(plan: AssignmentPlan, world: WorldModel,
                          rng: np.random.Generator) -> ObservedRatings:
     """Realize the observed rating matrix for a plan.
@@ -90,7 +83,7 @@ def realize_observations(plan: AssignmentPlan, world: WorldModel,
     n, m = plan.mask.shape
     reliable = world.reliable_set
     values = np.zeros((n, m))
-    values[reliable] = _draw_values(world.a_star, world.noise, rng) * plan.mask[reliable]
+    values[reliable] = world.draw(world.a_star, rng) * plan.mask[reliable]
 
     adv_rows = np.setdiff1d(np.arange(n), reliable)
     if adv_rows.size:
@@ -110,7 +103,7 @@ def realize_requester(world: WorldModel, masks: Tuple[np.ndarray, np.ndarray],
     """
     r_star = world.ground_truth.r_star
     mask_a, mask_b = masks
-    r_tilde = _draw_values(r_star, world.noise, rng) * mask_a
-    r_tilde_prime = _draw_values(r_star, world.noise, rng) * mask_b
+    r_tilde = world.draw(r_star, rng) * mask_a
+    r_tilde_prime = world.draw(r_star, rng) * mask_b
     return RequesterRatings(r_tilde=r_tilde, mask=mask_a,
                             r_tilde_prime=r_tilde_prime, mask_prime=mask_b)

@@ -37,7 +37,7 @@ RESULT_COLUMNS = (
 
 _REQUIRED_KEYS = ("n", "m", "alpha", "beta", "epsilon", "delta", "k", "k0")
 _INT_KEYS = {"n", "m", "k", "k0", "seed"}
-_FLOAT_KEYS = {"alpha", "beta", "epsilon", "delta", "L", "epsilon0"}
+_FLOAT_KEYS = {"alpha", "beta", "epsilon", "delta", "L", "epsilon0", "rho_scale"}
 
 # strategy name -> (class, {settable parameter: int or float})
 _ADVERSARIES = {
@@ -153,15 +153,13 @@ class RunSpec:
     trials: int = 1
     jobs: int = 1
     allow_nonconverged: bool = False
-    rho_scale: float = 1.0
+    rho_scale: Optional[float] = None  # overrides the config's rho_scale
 
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trial count must be at least 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
-        if not 0.0 < self.rho_scale < math.inf:
-            raise ConfigError("rho scale must be positive and finite")
 
 
 def _fmt(value) -> str:
@@ -186,18 +184,12 @@ def _result_row(r: analysis.TrialResult):
             r.accepted, r.opnorm)
 
 
-def _trial_task(args):
-    cfg, trial_seed, rho_scale = args
-    return run_trial(cfg, trial_seed, rho_scale=rho_scale)
-
-
-def _run_trials(cfg: ExperimentConfig, trials: int, jobs: int,
-                rho_scale: float) -> list:
-    tasks = [(cfg, cfg.seed + t, rho_scale) for t in range(trials)]
+def _run_trials(cfg: ExperimentConfig, trials: int, jobs: int) -> list:
+    seeds = [cfg.seed + t for t in range(trials)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_trial_task, tasks))
-    return [_trial_task(t) for t in tasks]
+            return list(pool.map(run_trial, [cfg] * trials, seeds))
+    return [run_trial(cfg, seed) for seed in seeds]
 
 
 def _summary_row(k: int, results: list) -> list:
@@ -234,6 +226,8 @@ def run_experiment(spec: RunSpec) -> int:
                 raise ConfigError(
                     f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
             cfg = replace(cfg, seed=seed)
+        if spec.rho_scale is not None:
+            cfg = replace(cfg, rho_scale=spec.rho_scale)
         spec.out_dir.mkdir(parents=True, exist_ok=True)
         if spec.mode == "run":
             grid = [cfg.k]
@@ -242,8 +236,7 @@ def run_experiment(spec: RunSpec) -> int:
         all_results = []
         summary_rows = []
         for k in grid:
-            results = _run_trials(replace(cfg, k=k), spec.trials,
-                                  spec.jobs, spec.rho_scale)
+            results = _run_trials(replace(cfg, k=k), spec.trials, spec.jobs)
             all_results.extend(results)
             summary_rows.append(_summary_row(k, results))
         _write_csv(spec.out_dir / "results.csv", RESULT_COLUMNS,
@@ -278,7 +271,8 @@ def _require(cond, what: str) -> None:
 
 def _check_config_examples():
     cfg = ExperimentConfig(
-        n=10, m=12, alpha=0.4, beta=1 / 6, epsilon=0.2, delta=0.1, k=6, k0=6)
+        n=10, m=12, alpha=0.4, beta=1 / 6, epsilon=0.2, delta=0.1, k=6, k0=6,
+        adversary=world.RandomSpam())
     _require(cfg.alpha_n == 4 and cfg.beta_m == 2,
              f"alpha_n, beta_m = {cfg.alpha_n}, {cfg.beta_m}, expected 4, 2")
     try:
@@ -310,7 +304,8 @@ def _check_ground_truth():
 
 def _check_assignment_degrees():
     cfg = ExperimentConfig(
-        n=60, m=80, alpha=0.5, beta=0.25, epsilon=0.5, delta=0.1, k=8, k0=8)
+        n=60, m=80, alpha=0.5, beta=0.25, epsilon=0.5, delta=0.1, k=8, k0=8,
+        adversary=world.RandomSpam())
     for s in range(5):
         plan = draw_assignment(cfg, derive_rng(s, "assign"))
         _require(plan.row_degrees.max() <= 2 * cfg.k, "row degree above 2k")
@@ -339,7 +334,7 @@ def _check_projections():
 def _check_solver_small():
     cfg = ExperimentConfig(
         n=8, m=12, alpha=0.5, beta=0.25, epsilon=0.5, delta=0.1, k=12, k0=12,
-        solver=SolverSettings(max_iters=400))
+        adversary=world.RandomSpam(), solver=SolverSettings(max_iters=400))
     rng = derive_rng(5, "solve")
     values = rng.random((8, 12))
     from .core import ObservedRatings
@@ -367,8 +362,9 @@ def _check_rounding():
 def _check_recover_exact():
     cfg = ExperimentConfig(
         n=20, m=20, alpha=1.0, beta=0.2, epsilon=0.2, delta=0.1, k=20, k0=20,
+        noise="noiseless", truth=("two_level", 0.0, 1.0),
         solver=SolverSettings(max_iters=600))
-    res = run_trial(cfg, 123, noise="noiseless", r_dist=("two_level", 0.0, 1.0))
+    res = run_trial(cfg, 123)
     _require(res.quality_gap == 0.0, f"quality gap {res.quality_gap}, expected 0")
     _require(res.cardinality_ok and res.feasibility_ok,
              "selection too large or solver output infeasible")
@@ -430,8 +426,8 @@ def run_round_demo(out_dir: Path, draws: int = 20000) -> int:
               default="run", show_default=True)
 @click.option("--allow-nonconverged", is_flag=True,
               help="Exit 0 even when some solves hit the iteration limit.")
-@click.option("--rho-scale", default=1.0, show_default=True,
-              help="Multiplier on the nuclear-norm bound.")
+@click.option("--rho-scale", type=float, default=None,
+              help="Nuclear-norm bound multiplier; overrides rho_scale.")
 def main(config_path, out_dir, trials, jobs, mode, allow_nonconverged, rho_scale):
     """Robust crowdsourced quantile recovery experiment runner."""
     try:

@@ -6,7 +6,7 @@ import hashlib
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -44,8 +44,8 @@ def derive_rng(seed: int, stream_label: str) -> np.random.Generator:
 class SolverSettings:
     """Knobs for the projected-subgradient solve.
 
-    eta0 is the base step size (None = 1 / estimated operator norm of the
-    ratings matrix); the step at iteration t is eta0 / sqrt(t).
+    eta0 is the base step size (None = 1 / largest singular value of the
+    ratings matrix, 1 if it is 0); the step at iteration t is eta0 / sqrt(t).
     """
 
     max_iters: int = 2000
@@ -60,18 +60,22 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """All problem parameters for one experiment, validated on construction.
+    """All inputs that decide a trial, validated on construction.
 
     n raters rate m items (m >= n). A fraction alpha of raters is reliable,
     the target is the set of the beta-fraction best items, epsilon is the
     target accuracy and delta the allowed failure probability. k and k0 are
     the per-rater and requester rating budgets; L and epsilon0 parametrize
     how faithfully reliable raters track the requester's true ranking.
+    rho_scale multiplies the nuclear-norm bound. noise ("bernoulli" or
+    "noiseless") and truth (the r_star distribution; None derives it from
+    the adversary) are checked where a trial uses them, by WorldModel and
+    generate_ground_truth. alpha < 1 needs an adversary.
 
     Construction (and dataclasses.replace) raises ConfigError naming the
     first violated constraint. alpha_n and beta_m are the round-half-up
     integer counts used everywhere; rho is the nuclear-norm bound
-    2/(alpha*epsilon) * sqrt(alpha*beta*n*m).
+    2/(alpha*epsilon) * sqrt(alpha*beta*n*m) * rho_scale.
     """
 
     n: int
@@ -85,6 +89,9 @@ class ExperimentConfig:
     L: float = 1.0
     epsilon0: float = 0.0
     seed: int = 0
+    rho_scale: float = 1.0
+    noise: str = "bernoulli"
+    truth: Optional[Union[str, tuple]] = None
     adversary: Optional["AdversaryStrategy"] = None
     solver: SolverSettings = SolverSettings()
     alpha_n: int = field(init=False)
@@ -126,6 +133,8 @@ class ExperimentConfig:
             raise ConfigError("L must be finite and at least 1")
         if not 0.0 <= self.epsilon0 < math.inf:
             raise ConfigError("epsilon0 must be finite and non-negative")
+        if not 0.0 < self.rho_scale < math.inf:
+            raise ConfigError("rho scale must be positive and finite")
 
         alpha_n = round_half_up(self.alpha * self.n)
         beta_m = round_half_up(self.beta * self.m)
@@ -133,17 +142,20 @@ class ExperimentConfig:
             raise ConfigError("round(alpha * n) must be at least 1")
         if beta_m < 1:
             raise ConfigError("round(beta * m) must be at least 1")
+        if alpha_n < self.n and self.adversary is None:
+            raise ConfigError("an adversary strategy is required when alpha < 1")
         if not isinstance(self.solver, SolverSettings):
             raise ConfigError("solver must be a SolverSettings")
         rho = (2.0 / (self.alpha * self.epsilon)) * math.sqrt(
             self.alpha * self.beta * self.n * self.m
-        )
+        ) * self.rho_scale
         # derived values come from the values as given, then every field is
         # normalized to a builtin int or float; results.csv bytes rely on both
         for name, kind in (("n", int), ("m", int), ("alpha", float),
                            ("beta", float), ("epsilon", float),
                            ("delta", float), ("k", int), ("k0", int),
-                           ("L", float), ("epsilon0", float), ("seed", int)):
+                           ("L", float), ("epsilon0", float), ("seed", int),
+                           ("rho_scale", float)):
             object.__setattr__(self, name, kind(getattr(self, name)))
         object.__setattr__(self, "alpha_n", alpha_n)
         object.__setattr__(self, "beta_m", beta_m)

@@ -184,8 +184,8 @@ def _polish(M: np.ndarray, cap: float, rho: float) -> np.ndarray:
     return X
 
 
-def solve_recover_M(ratings, cfg: ExperimentConfig, *,
-                    rho_scale: float = 1.0) -> Tuple[QuantileMatrix, SolveReport]:
+def solve_recover_M(ratings,
+                    cfg: ExperimentConfig) -> Tuple[QuantileMatrix, SolveReport]:
     """Solve the constrained linear program for the quantile matrix.
 
     Projected subgradient ascent M <- Pi(M + eta_t * A) from beta * ones,
@@ -198,7 +198,7 @@ def solve_recover_M(ratings, cfg: ExperimentConfig, *,
     A = np.asarray(ratings.values, dtype=float)
     n, m = A.shape
     cap = cfg.beta_m
-    rho = cfg.rho * rho_scale
+    rho = cfg.rho
 
     M = _initial_point(n, m, cfg.beta, cap, rho)
     if settings.eta0 is not None:

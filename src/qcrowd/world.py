@@ -103,17 +103,19 @@ class WorldModel:
         object.__setattr__(self, "reliable_set", reliable)
         object.__setattr__(self, "a_star", a)
 
-    @property
-    def n_reliable(self) -> int:
-        return self.reliable_set.size
+    def draw(self, means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Bernoulli draws with the given means; the means when noiseless."""
+        if self.noise == "noiseless":
+            return means.copy()
+        return (rng.random(means.shape) < means).astype(float)
 
 
 def generate_ground_truth(m: int, dist, rng: np.random.Generator, *,
                           beta_m: int) -> GroundTruth:
-    """Draw r_star i.i.d. from dist and mark its beta_m largest entries.
+    """Draw r_star from dist and mark its beta_m largest entries.
 
-    dist is "uniform" or ("two_level", lo, hi); the two-level variant places
-    beta_m items at hi (random positions) and the rest at lo.
+    dist is "uniform" (i.i.d. on [0, 1]) or ("two_level", lo, hi), which
+    places beta_m items at hi (random positions) and the rest at lo.
     """
     if dist == "uniform":
         r = rng.uniform(0.0, 1.0, size=m)
@@ -256,30 +258,28 @@ def adversary_fill(strategy: AdversaryStrategy, plan, reliable_values: np.ndarra
     return values * plan.mask[adv_rows]
 
 
-def build_world(cfg: ExperimentConfig, rng: np.random.Generator, *,
-                noise: str = "bernoulli", r_dist=None) -> WorldModel:
+def build_world(cfg: ExperimentConfig, rng: np.random.Generator) -> WorldModel:
     """Canonical world for a config: ground truth, reliable set, profile.
 
-    The default r_star distribution depends on the adversary so the attack
-    is pointed at a meaningful target: two-level (block_low, 1) under
+    r_star follows cfg.truth; when None, the adversary picks it so the
+    attack is pointed at a meaningful target: two-level (block_low, 1) under
     SymmetricBlocks, two-level (0, 1) under DenseHalfPositive, uniform
     otherwise. The reliable profile is the identity when L == 1 and a
     random-slope affine profile otherwise.
     """
-    if r_dist is None:
+    truth = cfg.truth
+    if truth is None:
         if isinstance(cfg.adversary, SymmetricBlocks):
             # match the attack's block contrast so the adversary groups are
             # genuinely indistinguishable without the requester's ratings
-            r_dist = ("two_level", cfg.adversary.block_low, 1.0)
+            truth = ("two_level", cfg.adversary.block_low, 1.0)
         elif isinstance(cfg.adversary, DenseHalfPositive):
-            r_dist = ("two_level", 0.0, 1.0)
+            truth = ("two_level", 0.0, 1.0)
         else:
-            r_dist = "uniform"
-    gt = generate_ground_truth(cfg.m, r_dist, rng, beta_m=cfg.beta_m)
+            truth = "uniform"
+    gt = generate_ground_truth(cfg.m, truth, rng, beta_m=cfg.beta_m)
 
     reliable = np.sort(rng.choice(cfg.n, size=cfg.alpha_n, replace=False))
-    if cfg.alpha_n < cfg.n and cfg.adversary is None:
-        raise StrategyError("an adversary strategy is required when alpha < 1")
 
     if cfg.L == 1.0:
         a_star = np.tile(gt.r_star, (cfg.alpha_n, 1))
@@ -288,4 +288,4 @@ def build_world(cfg: ExperimentConfig, rng: np.random.Generator, *,
 
     check_monotonicity(gt.r_star, a_star, cfg.L, cfg.epsilon0)
     return WorldModel(ground_truth=gt, reliable_set=reliable, a_star=a_star,
-                      adversary=cfg.adversary, noise=noise)
+                      adversary=cfg.adversary, noise=cfg.noise)

@@ -3,6 +3,7 @@ PASS/FAIL line. Run with `pytest tests/test_acceptance.py -s` to see the
 lines as they complete."""
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -12,6 +13,7 @@ from qcrowd import (
     DenseHalfPositive,
     ExperimentConfig,
     ObservedRatings,
+    RandomSpam,
     SolverSettings,
     SymmetricBlocks,
     accept_loop,
@@ -69,13 +71,14 @@ def test_criterion_03_solver_oracle_equivalence():
     rng = derive_rng(3, "oracle-instances")
     cfg = ExperimentConfig(
         n=20, m=30, alpha=0.5, beta=0.25, epsilon=0.5, delta=0.1, k=30, k0=30,
-        solver=SolverSettings(max_iters=200, eta0=1e8))
+        adversary=RandomSpam(), solver=SolverSettings(max_iters=200, eta0=1e8))
     rho_slack = cfg.beta_m * math.sqrt(cfg.n * cfg.m)
+    slack_cfg = replace(cfg, rho_scale=rho_slack / cfg.rho)
     worst_rel = 0.0
     for _ in range(50):
         A = rng.random((20, 30))
         obs = ObservedRatings(values=A, mask=np.ones((20, 30), dtype=np.int8))
-        matrix, report = solve_recover_M(obs, cfg, rho_scale=rho_slack / cfg.rho)
+        matrix, report = solve_recover_M(obs, slack_cfg)
         greedy_obj = float(np.vdot(A, greedy_row_oracle(A, cfg.beta_m)))
         worst_rel = max(worst_rel, abs(report.objective - greedy_obj) / greedy_obj)
         assert report.residual_box <= 1e-6
@@ -149,9 +152,9 @@ def test_criterion_04_projection_correctness():
 
 def test_criterion_05_honest_world_exactness():
     cfg = ExperimentConfig(
-        n=60, m=60, alpha=1.0, beta=0.2, epsilon=0.2, delta=0.1, k=60, k0=60)
-    results = [run_trial(cfg, 1000 + s, noise="noiseless",
-                         r_dist=("two_level", 0.0, 1.0)) for s in range(20)]
+        n=60, m=60, alpha=1.0, beta=0.2, epsilon=0.2, delta=0.1, k=60, k0=60,
+        noise="noiseless", truth=("two_level", 0.0, 1.0))
+    results = [run_trial(cfg, 1000 + s) for s in range(20)]
     _track(results, cfg)
     exact = sum(r.quality_gap == 0.0 for r in results)
     _report(5, exact == 20, f"honest noiseless recovery exact on {exact}/20 seeds")
@@ -169,10 +172,9 @@ def trend_results():
         for k in TREND_K_GRID:
             cfg = ExperimentConfig(
                 n=200, m=200, alpha=0.3, beta=0.2, epsilon=0.2, delta=0.1,
-                k=k, k0=100, adversary=adv,
+                k=k, k0=100, noise="noiseless", truth="uniform", adversary=adv,
                 solver=SolverSettings(max_iters=400, eta0=0.1))
-            results = [run_trial(cfg, 60000 + s, noise="noiseless",
-                                 r_dist="uniform") for s in range(20)]
+            results = [run_trial(cfg, 60000 + s) for s in range(20)]
             _track(results, cfg)
             out[(type(adv).__name__, k)] = results
     return out
@@ -273,10 +275,9 @@ def test_criterion_10_monotonicity_transfer(trend_results):
     # additionally exercise a profile with slope genuinely below 1 (L = 2)
     cfg = ExperimentConfig(
         n=60, m=60, alpha=0.5, beta=0.2, epsilon=0.2, delta=0.1, k=30, k0=30,
-        L=2.0, adversary=SymmetricBlocks(block_low=0.8),
+        L=2.0, noise="noiseless", adversary=SymmetricBlocks(block_low=0.8),
         solver=SolverSettings(max_iters=300, eta0=0.1))
-    affine = [run_trial(cfg, 62000 + s, noise="noiseless")
-              for s in range(10)]
+    affine = [run_trial(cfg, 62000 + s) for s in range(10)]
     _track(affine, cfg)
     worst_affine = max(r.gap_r - (cfg.L * r.gap_a + cfg.epsilon0) for r in affine)
     checked += len(affine)

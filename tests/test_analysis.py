@@ -191,15 +191,15 @@ class TestChernoffBudget:
 class TestMonotoneTransfer:
     def test_affine_world_satisfies_transfer_inequality(self):
         cfg = make_config(n=12, m=16, alpha=1.0, beta=0.25, k=16, k0=16, L=2.0,
-                          solver=SolverSettings(max_iters=150))
+                          noise="noiseless", solver=SolverSettings(max_iters=150))
         for s in range(5):
-            res = run_trial(cfg, 500 + s, noise="noiseless")
+            res = run_trial(cfg, 500 + s)
             assert res.gap_r <= cfg.L * res.gap_a + cfg.epsilon0 + 1e-9
 
     def test_identity_world_gaps_coincide(self):
         cfg = make_config(n=8, m=10, alpha=1.0, beta=0.3, k=10, k0=10,
-                          solver=SolverSettings(max_iters=100))
-        res = run_trial(cfg, 42, noise="noiseless")
+                          noise="noiseless", solver=SolverSettings(max_iters=100))
+        res = run_trial(cfg, 42)
         assert res.gap_r == pytest.approx(res.gap_a, abs=1e-12)
 
 
@@ -212,10 +212,10 @@ class TestExpectedRatingGapTrend:
         for k in (10, 40):
             cfg = make_config(
                 n=60, m=80, alpha=0.4, beta=0.2, epsilon=0.3, k=k, k0=40,
+                noise="noiseless", truth="uniform",
                 adversary=SymmetricBlocks(block_low=0.8),
                 solver=SolverSettings(max_iters=600, eta0=1e6))
-            results = [run_trial(cfg, 90000 + s, noise="noiseless",
-                                 r_dist="uniform") for s in range(10)]
+            results = [run_trial(cfg, 90000 + s) for s in range(10)]
             converged = [r.gap_a for r in results if r.solver_converged]
             assert converged, "expected converged trials at these settings"
             medians[k] = float(np.median(converged))

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,9 @@ from qcrowd.cli import (
     RESULT_COLUMNS,
     ParseError,
     RunSpec,
+    _FLOAT_KEYS,
+    _INT_KEYS,
+    _SOLVER_KEYS,
     main,
     parse_config,
     run_experiment,
@@ -33,6 +37,11 @@ adversary = SymmetricBlocks
 adversary.block_low = 0.8
 solver.max_iters = 250
 """
+
+# at rho_scale 0.1 the nuclear bound binds in these trials (at 0.2 it is
+# slack); 20 iterations keep the binding solves short
+_BINDING_CONFIG = GOOD_CONFIG.replace("solver.max_iters = 250",
+                                      "solver.max_iters = 20")
 
 
 class TestParseConfig:
@@ -117,7 +126,7 @@ _BASE_PAIRS = dict(
     (key.strip(), value.strip())
     for key, _, value in (line.partition("=")
                           for line in GOOD_CONFIG.splitlines()[1:]))
-_KEYS = (*_BASE_PAIRS, "L", "epsilon0", "adversary.p_high",
+_KEYS = (*_BASE_PAIRS, "L", "epsilon0", "rho_scale", "adversary.p_high",
          "adversary.block_size", "adversary.perm_seed", "solver.eta0",
          "solver.tol", "adversary.mood", "foo", "solver.", "")
 _VALUES = st.one_of(
@@ -166,9 +175,15 @@ class TestRunMode:
         assert seeds == [42, 43, 44]
         assert (out / "summary.csv").exists()
 
-    @pytest.mark.parametrize("mode", ("run", "sweep"))
+    @pytest.mark.parametrize("mode,text", [
+        pytest.param("run", GOOD_CONFIG, id="run"),
+        pytest.param("sweep", GOOD_CONFIG, id="sweep"),
+        pytest.param("run", _BINDING_CONFIG + "rho_scale = 0.1\n",
+                     id="run-rho_scale=0.1"),
+    ])
     def test_byte_identical_across_runs_and_jobs(self, tmp_path, config_file,
-                                                 mode):
+                                                 mode, text):
+        config_file.write_text(text)
         outs = []
         for j, jobs in ((1, 1), (2, 2)):
             out = tmp_path / f"out{j}"
@@ -197,6 +212,23 @@ class TestRunMode:
         run_experiment(spec)
         first = (out / "results.csv").read_text().splitlines()[1]
         assert first.split(",")[0] == "99"
+
+    def test_rho_scale_key_matches_flag_and_flag_overrides_it(self, tmp_path):
+        def outputs(name, text, rho_scale=None):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            out = tmp_path / name
+            run_experiment(RunSpec(mode="run", config_path=cfg, out_dir=out,
+                                   trials=2, allow_nonconverged=True,
+                                   rho_scale=rho_scale))
+            return ((out / "results.csv").read_bytes(),
+                    (out / "summary.csv").read_bytes())
+
+        flag = outputs("flag", _BINDING_CONFIG, rho_scale=0.1)
+        assert flag != outputs("default", _BINDING_CONFIG)  # the bound binds
+        assert outputs("key", _BINDING_CONFIG + "rho_scale = 0.1\n") == flag
+        assert outputs("both", _BINDING_CONFIG + "rho_scale = 0.5\n",
+                       rho_scale=0.1) == flag
 
     def test_exit_2_on_nonconverged_without_flag(self, tmp_path, config_file):
         text = config_file.read_text().replace("solver.max_iters = 250",
@@ -306,6 +338,11 @@ class TestMainCommand:
                      id="env-seed"),
         *(pytest.param("", "", ["--rho-scale", v], {}, "rho scale",
                        id=f"rho-scale={v}") for v in ("-1", "0", "nan", "inf")),
+        pytest.param("seed = 42", "seed = 42\nrho_scale = 0", [], {},
+                     "rho scale", id="rho_scale=0"),
+        pytest.param("adversary = SymmetricBlocks\nadversary.block_low = 0.8\n",
+                     "", [], {}, "adversary strategy is required",
+                     id="no-adversary"),
         pytest.param("seed = 42", "seed = 42\nL = nan", [], {}, "L must",
                      id="L=nan"),
         pytest.param("seed = 42", "seed = 42\nepsilon0 = nan", [], {},
@@ -345,3 +382,14 @@ class TestMainCommand:
         assert names in lines[0]
         assert "Traceback" not in result.output
         assert not (tmp_path / "o").exists()  # rejected before any output
+
+
+def test_readme_config_block_names_every_key():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```ini\n(.*?)```", readme.read_text(), re.S).group(1)
+    parse_config(block)
+    named = {line.split("#")[0].partition("=")[0].strip()
+             for line in block.splitlines()}
+    accepted = (_INT_KEYS | _FLOAT_KEYS | {"adversary"}
+                | {f"solver.{key}" for key in _SOLVER_KEYS})
+    assert accepted <= named, sorted(accepted - named)

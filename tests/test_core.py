@@ -54,6 +54,9 @@ class TestValidateConfig:
         ("epsilon0", -0.1, "epsilon0"),
         ("epsilon0", float("nan"), "epsilon0"),
         ("epsilon0", float("inf"), "epsilon0"),
+        ("rho_scale", 0.0, "rho scale"),
+        ("rho_scale", float("nan"), "rho scale"),
+        ("rho_scale", float("inf"), "rho scale"),
         ("n", 0, "n"),
         ("solver", None, "solver must be a SolverSettings"),
         pytest.param("n,m", 10**10, "n \\* m is too large", id="n=m=1e10"),
@@ -73,6 +76,18 @@ class TestValidateConfig:
         cfg = make_config(n=10, m=12, alpha=0.4, beta=1 / 6, epsilon=0.2)
         expected = 2 / (0.4 * 0.2) * np.sqrt(0.4 * (1 / 6) * 10 * 12)
         assert cfg.rho == pytest.approx(expected)
+
+    def test_rho_scale_multiplies_rho_exactly(self):
+        # the same float as scaling the unscaled bound afterwards
+        cfg = make_config()
+        scaled = make_config(rho_scale=0.2)
+        assert scaled.rho == cfg.rho * 0.2
+        assert type(make_config(rho_scale=1).rho_scale) is float
+
+    def test_requires_strategy_when_alpha_below_one(self):
+        with pytest.raises(ConfigError, match="adversary strategy is required"):
+            make_config(alpha=0.5, adversary=None)
+        assert make_config(alpha=1.0, adversary=None).adversary is None
 
     def test_round_half_up(self):
         assert round_half_up(2.5) == 3

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -251,10 +252,10 @@ class TestSolveRecoverM:
             n=20, m=30, alpha=0.5, beta=0.25, epsilon=0.5, k=30, k0=30,
             solver=SolverSettings(max_iters=200, eta0=1e8))
         rho_huge = cfg.beta_m * np.sqrt(cfg.n * cfg.m)
+        slack_cfg = replace(cfg, rho_scale=rho_huge / cfg.rho)
         for _ in range(5):
             A = rng.random((20, 30))
-            matrix, report = solve_recover_M(_observed(A), cfg,
-                                             rho_scale=rho_huge / cfg.rho)
+            matrix, report = solve_recover_M(_observed(A), slack_cfg)
             greedy_obj = float(np.vdot(A, greedy_row_oracle(A, cfg.beta_m)))
             assert report.objective == pytest.approx(greedy_obj, rel=1e-5)
             assert report.objective <= greedy_obj + 1e-9
@@ -292,11 +293,12 @@ class TestSolveRecoverM:
     def test_oracle_dominance_under_active_nuclear_constraint(self):
         rng = np.random.default_rng(11)
         cfg = make_config(n=10, m=12, alpha=0.8, beta=0.25, epsilon=1.0,
-                          k=12, k0=12, solver=SolverSettings(max_iters=250))
+                          k=12, k0=12, rho_scale=0.2,
+                          solver=SolverSettings(max_iters=250))
         # shrink the ball so it binds: greedy upper-bounds the solver
         for _ in range(3):
             A = rng.random((10, 12))
-            _, report = solve_recover_M(_observed(A), cfg, rho_scale=0.2)
+            _, report = solve_recover_M(_observed(A), cfg)
             greedy_obj = float(np.vdot(A, greedy_row_oracle(A, cfg.beta_m)))
             assert report.objective <= greedy_obj + 1e-9
             assert report.residual_nuc <= 1e-4

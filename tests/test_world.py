@@ -254,11 +254,6 @@ class TestSimpleStrategies:
 
 
 class TestBuildWorld:
-    def test_requires_strategy_when_alpha_below_one(self):
-        cfg = make_config(alpha=0.5, adversary=None)
-        with pytest.raises(StrategyError):
-            build_world(cfg, derive_rng(0, "world"))
-
     def test_symmetric_blocks_default_ground_truth(self):
         cfg = make_config(adversary=SymmetricBlocks(block_low=0.7))
         world = build_world(cfg, derive_rng(0, "world"))
