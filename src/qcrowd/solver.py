@@ -49,33 +49,63 @@ class SolveReport:
 def _project_rows(M: np.ndarray, cap: float) -> np.ndarray:
     """Exact Euclidean projection of every row onto {x in [0,1]^m: sum x <= cap}.
 
-    Rows whose clipped sum already satisfies the cap are just clipped; the
-    rest get a bisected Lagrange shift theta so that sum clip(v - theta, 0, 1)
-    hits the cap (sum tolerance ~1e-10).
+    Rows whose clipped sum already satisfies the cap are just clipped. The
+    rest get the Lagrange shift theta at which the piecewise-linear
+    f(theta) = sum clip(v - theta, 0, 1) meets the cap, found by Newton
+    steps theta += (f(theta) - cap) / #{j : 0 < v_j - theta < 1} inside a
+    bracket [lo, hi] with f(lo) > cap >= f(hi); a row bisects the bracket
+    when no entry is free or the step leaves it, and moves one float when
+    rounding swallows the step. A row is done once
+    cap - 1e-12 * cap <= f(theta) <= cap, or once no float lies strictly
+    between lo and hi, and then takes theta = hi, so no row sum exceeds the
+    cap. Rows leave the search as they finish; it stops after 80 steps,
+    with theta = hi on any row still open.
     """
     M = np.asarray(M, dtype=float)
     X = np.clip(M, 0.0, 1.0)
-    over = X.sum(axis=1) > cap
-    if not np.any(over):
+    f = X.sum(axis=1)
+    rows = np.flatnonzero(f > cap)  # rows still searching
+    if rows.size == 0:
         return X
-    V = M[over]
-    lo = np.zeros(V.shape[0])
+    V = M[rows]
+    f = f[rows]  # f(0), with its free count below
+    n_free = ((V > 0.0) & (V < 1.0)).sum(axis=1)
+    theta = np.zeros(rows.size)
+    lo = theta.copy()
     hi = V.max(axis=1)  # at theta = max(v) the shifted sum is 0 <= cap
-    width_floor = 1e-13 * (1.0 + float(hi.max()))
-    W = np.empty_like(V)
+    narrow = np.nextafter(lo, hi) >= hi  # no float strictly inside
+    W_buf = np.empty_like(V)  # work buffers, sliced as rows finish
+    free_buf = np.empty(V.shape, dtype=bool)
+    below_buf = np.empty(V.shape, dtype=bool)
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        np.subtract(V, mid[:, None], out=W)
+        step = theta + (f - cap) / np.maximum(n_free, 1)
+        # a step lost to rounding moves theta one float toward the root
+        step = np.where(step == theta,
+                        np.nextafter(theta, np.where(f > cap, hi, lo)), step)
+        newton = (n_free > 0) & (lo < step) & (step < hi)
+        theta = np.where(newton, step, 0.5 * (lo + hi))
+        theta = np.where(narrow, hi, theta)  # finish at the upper end
+        W, free, below = (b[:rows.size] for b in (W_buf, free_buf, below_buf))
+        np.subtract(V, theta[:, None], out=W)
+        np.greater(W, 0.0, out=free)
+        np.less(W, 1.0, out=below)
+        np.logical_and(free, below, out=free)
+        n_free = free.sum(axis=1)
         np.clip(W, 0.0, 1.0, out=W)
-        too_big = W.sum(axis=1) > cap
-        lo = np.where(too_big, mid, lo)
-        hi = np.where(too_big, hi, mid)
-        if float((hi - lo).max()) <= width_floor:
-            break
-    # theta = hi keeps the shifted sum at or below the cap
-    np.subtract(V, hi[:, None], out=W)
-    np.clip(W, 0.0, 1.0, out=W)
-    X[over] = W
+        f = W.sum(axis=1)
+        above = f > cap
+        lo = np.where(above, theta, lo)
+        hi = np.where(above, hi, theta)
+        narrow = np.nextafter(lo, hi) >= hi
+        done = ~above & ((f >= cap - 1e-12 * cap) | narrow)
+        if np.any(done):
+            X[rows[done]] = W[done]  # theta == hi on these rows
+            keep = ~done
+            rows, V, lo, hi, theta, f, n_free, narrow = (
+                a[keep] for a in (rows, V, lo, hi, theta, f, n_free, narrow))
+            if rows.size == 0:
+                return X
+    X[rows] = np.clip(V - hi[:, None], 0.0, 1.0)
     return X
 
 

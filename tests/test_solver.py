@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcrowd import (
     ObservedRatings,
@@ -49,6 +49,51 @@ def capped_box_oracle(v, cap):
     X = X[feasible]
     dist = ((X - v[None, :]) ** 2).sum(axis=1)
     return X[np.argmin(dist)]
+
+
+def bisection_rows_oracle(M, cap):
+    """Row projection by bisection on the Lagrange shift theta, the rule the
+    solver used before its Newton search. All 80 halvings run, so the bracket
+    closes to adjacent floats even for entries near 1e6, where a width floor
+    of 1e-13 * (1 + max v) would stop it up to 1e-7 short."""
+    M = np.asarray(M, dtype=float)
+    X = np.clip(M, 0.0, 1.0)
+    over = X.sum(axis=1) > cap
+    if not np.any(over):
+        return X
+    V = M[over]
+    lo = np.zeros(V.shape[0])
+    hi = V.max(axis=1)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        too_big = np.clip(V - mid[:, None], 0.0, 1.0).sum(axis=1) > cap
+        lo = np.where(too_big, mid, lo)
+        hi = np.where(too_big, hi, mid)
+    X[over] = np.clip(V - hi[:, None], 0.0, 1.0)
+    return X
+
+
+# entries for row-projection inputs: small reals, integers (ties), entries
+# up to 1e6, and a few values whose ties give flat pieces with no free entry
+_ENTRIES = st.one_of(
+    st.floats(-3, 3, allow_nan=False),
+    st.integers(-3, 4).map(float),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 999999.5, 1e6]),
+)
+
+
+@st.composite
+def _row_projection_inputs(draw):
+    """(M, cap): a few rows, each mixed or all-equal, as floats or integers."""
+    m = draw(st.integers(1, 10))
+    row = st.one_of(st.lists(_ENTRIES, min_size=m, max_size=m),
+                    _ENTRIES.map(lambda x: [x] * m))
+    M = np.array(draw(st.lists(row, min_size=1, max_size=5)))
+    if draw(st.booleans()):
+        M = np.rint(M).astype(np.int64)
+    cap = draw(st.integers(0, m) | st.floats(0.5, m))
+    return M, cap
 
 
 def nuclear_oracle(M, rho):
@@ -113,6 +158,29 @@ class TestCappedBoxProjection:
         out = project_capped_box_simplex(v, 10)
         assert abs(out.sum() - 10) <= 1e-9
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(_row_projection_inputs())
+    @example((np.array([[3.0, 3.0, 0.5]]), 2))
+    def test_matches_bisection_oracle_and_never_exceeds_cap(self, case):
+        M, cap = case
+        got = _project_rows(M, cap)
+        assert np.abs(got - bisection_rows_oracle(M, cap)).max() <= 1e-9
+        assert np.all(got.sum(axis=1) <= cap)
+
+    def test_bad_rows_end_and_leave_other_rows_alone(self):
+        # three infinite entries keep the clipped sum at 3 > cap for every
+        # finite shift, so that row ends only at the step limit; the 1e300
+        # row has no free entry anywhere and ends by bisection
+        rng = np.random.default_rng(23)
+        good = rng.uniform(-1.0, 3.0, size=(4, 7))
+        bad = np.array([[np.inf, np.inf, np.inf, 0.5, 2.0, 0.3, 0.0],
+                        np.full(7, 1e300)])
+        M = np.vstack([good[:2], bad, good[2:]])
+        with np.errstate(invalid="ignore"):  # inf - inf in the infinite row
+            out = _project_rows(M, 2.0)
+        assert np.array_equal(out[[0, 1, 4, 5]], _project_rows(good, 2.0))
+        assert out[3].sum() <= 2.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-3, 3, allow_nan=False), min_size=1, max_size=12),
