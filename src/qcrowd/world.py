@@ -161,24 +161,32 @@ def monotonicity_violation(r_star: np.ndarray, a_star: np.ndarray,
                            L: float) -> float:
     """Largest slack needed for a_star to be L-monotone in r_star.
 
-    Exhaustive over ordered pairs (j, j'): returns
-    max over r_star[j] >= r_star[j'] of r_star[j]-r_star[j'] - L*(a[j]-a[j']),
-    so the rows are (L, eps0)-monotonic iff the result is <= eps0.
+    Returns max over r_star[j] >= r_star[j'] of
+    r_star[j]-r_star[j'] - L*(a[j]-a[j']) across all rows, so the rows are
+    (L, eps0)-monotonic iff the result is <= eps0. The slack is g[j] - g[j']
+    with g = r_star - L*a, so after one stable sort of r_star each j pairs
+    with the smallest g among the items sorted at or before the last item
+    tied with r_star[j]; ties therefore see each other in both directions.
+    The j == j' pair keeps the result >= 0. Non-finite input gives NaN or
+    +inf; an a_star with no rows gives -inf.
     """
     r = np.asarray(r_star, dtype=float)
     a = np.atleast_2d(np.asarray(a_star, dtype=float))
-    ge = r[:, None] >= r[None, :]
-    r_diff = r[:, None] - r[None, :]
-    worst = -np.inf
-    for row in a:
-        slack = r_diff - L * (row[:, None] - row[None, :])
-        worst = max(worst, float(slack[ge].max()))
-    return worst
+    if r.ndim != 1 or a.ndim != 2 or a.shape[1] != r.size:
+        raise ValueError("a_star must have one column per r_star entry")
+    order = np.argsort(r, kind="stable")
+    r_sorted = r[order]
+    g = r_sorted - L * a[:, order]
+    prefix_min = np.minimum.accumulate(g, axis=1)
+    last_tie = np.searchsorted(r_sorted, r_sorted, side="right") - 1
+    return float(np.max(g - prefix_min[:, last_tie], initial=-np.inf))
 
 
 def check_monotonicity(r_star: np.ndarray, a_star: np.ndarray, L: float,
                        epsilon0: float, tol: float = 1e-9) -> None:
     viol = monotonicity_violation(r_star, a_star, L)
+    if not viol < np.inf:  # NaN or +inf
+        raise ProfileError("ratings and profile must be finite")
     if viol > epsilon0 + tol:
         raise ProfileError(
             f"profile violates ({L}, {epsilon0})-monotonicity by {viol - epsilon0:.3g}"

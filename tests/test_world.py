@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qcrowd import (
     AntiCorrelated,
@@ -30,6 +31,46 @@ from conftest import make_config
 def full_plan(n, m):
     return AssignmentPlan(mask=np.ones((n, m), dtype=np.int8),
                           pruned_rows=0, pruned_cols=0)
+
+
+def exhaustive_violation_oracle(r_star, a_star, L):
+    """Pairwise reference for monotonicity_violation: m x m slacks per row."""
+    r = np.asarray(r_star, dtype=float)
+    a = np.atleast_2d(np.asarray(a_star, dtype=float))
+    ge = r[:, None] >= r[None, :]
+    r_diff = r[:, None] - r[None, :]
+    worst = -np.inf
+    for row in a:
+        slack = r_diff - L * (row[:, None] - row[None, :])
+        worst = max(worst, float(slack[ge].max()))
+    return worst
+
+
+@st.composite
+def _monotonicity_inputs(draw):
+    m = draw(st.integers(1, 12))
+    unit = st.floats(0.0, 1.0)
+    r_kind = draw(st.sampled_from(["ties", "all_equal", "continuous"]))
+    if r_kind == "ties":
+        r = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                          min_size=m, max_size=m))
+    elif r_kind == "all_equal":
+        r = [draw(unit)] * m
+    else:
+        r = draw(st.lists(unit, min_size=m, max_size=m))
+    r = np.array(r)
+    L = draw(st.floats(1.0, 10.0))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            # near-monotone row: affine in r plus a small perturbation
+            slope = draw(st.floats(1.0 / L, 1.0))
+            noise = np.array(draw(st.lists(st.floats(-0.1, 0.1),
+                                           min_size=m, max_size=m)))
+            rows.append(np.clip(slope * r + noise, 0.0, 1.0))
+        else:
+            rows.append(np.array(draw(st.lists(unit, min_size=m, max_size=m))))
+    return r, np.array(rows), L
 
 
 class TestGenerateGroundTruth:
@@ -92,6 +133,29 @@ class TestAffineProfile:
                     if r[j] >= r[jp]:
                         worst = max(worst, r[j] - r[jp] - L * (row[j] - row[jp]))
         assert monotonicity_violation(r, a, L) == pytest.approx(worst)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_monotonicity_inputs())
+    @example((np.array([0.0, 0.5, 0.5, 1.0]),
+              np.array([[0.0, 0.4, 0.6, 1.0]]), 1.0))  # needs the later tie
+    @example((np.array([0.3]), np.array([[0.9], [0.1]]), 10.0))  # m = 1
+    def test_matches_exhaustive_oracle(self, case):
+        r, a, L = case
+        fast = monotonicity_violation(r, a, L)
+        assert fast >= 0.0
+        assert abs(fast - exhaustive_violation_oracle(r, a, L)) <= 1e-12 * (1 + L)
+
+    def test_columns_must_match_ratings(self):
+        with pytest.raises(ValueError, match="column"):
+            monotonicity_violation(np.linspace(0, 1, 5), np.zeros((2, 7)), 1.0)
+
+    @pytest.mark.parametrize("where", ["profile", "rating"])
+    def test_nan_fails_check(self, where):
+        r = np.linspace(0, 1, 6)
+        a = np.tile(r, (2, 1))
+        (a[1] if where == "profile" else r)[3] = np.nan
+        with pytest.raises(ProfileError, match="finite"):
+            check_monotonicity(r, a, L=1.0, epsilon0=0.0)
 
     def test_check_monotonicity_raises_on_violation(self):
         r = np.array([1.0, 0.0])
