@@ -329,6 +329,12 @@ def _check_projections():
     moved = solver.dykstra_project(feasible, 3.0, 1e6, 10)
     _require(np.linalg.norm(moved - feasible) < 1e-8,
              "Dykstra projection moved a feasible point")
+    B = rng.standard_normal((8, 10)) * 4  # nuclear bound binds: sweeps loop
+    bound = solver.dykstra_project(B, 2.0, 3.0, 30)
+    _require(np.linalg.svd(bound, compute_uv=False).sum() <= 3.0 * (1 + 1e-9),
+             "Dykstra projection left the nuclear ball")
+    _require(not np.array_equal(bound, solver._project_rows(B, 2.0)),
+             "Dykstra projection stopped at the row projection of a binding point")
 
 
 def _check_solver_small():

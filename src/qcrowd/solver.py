@@ -168,17 +168,33 @@ def dykstra_project(M: np.ndarray, cap: float, rho: float, max_sweeps: int,
                     tol: float = 1e-9) -> np.ndarray:
     """Approximate Euclidean projection onto the intersection of the per-row
     capped box-simplex and the nuclear ball, by Dykstra's alternating
-    projections with correction terms."""
+    projections with correction terms.
+
+    The corrections start at zero, so the first sweep is the row projection
+    y of M followed by the nuclear projection of y. When y already lies in
+    the ball, project_nuclear_ball returns y itself and the tol test (for
+    any tol >= 0) would end the loop on x equal to y, so y is returned after
+    that one sweep. Otherwise the corrections start at M - y and y - x,
+    their values after a sweep from zero, and the remaining sweeps run as
+    before; max_sweeps = 0 returns M.
+    """
     x = np.asarray(M, dtype=float)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for _ in range(max_sweeps):
+    if max_sweeps <= 0:
+        return x
+    y = _project_rows(x, cap)
+    z = project_nuclear_ball(y, rho)
+    if z is y:
+        return y
+    p = x - y
+    q = y - z
+    x = z
+    for _ in range(max_sweeps - 1):
+        if float(np.linalg.norm(x - y)) <= tol * (1.0 + float(np.linalg.norm(x))):
+            break
         y = _project_rows(x + p, cap)
         p = x + p - y
         x = project_nuclear_ball(y + q, rho)
         q = y + q - x
-        if float(np.linalg.norm(x - y)) <= tol * (1.0 + float(np.linalg.norm(x))):
-            break
     return x
 
 

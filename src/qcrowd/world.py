@@ -96,7 +96,7 @@ class WorldModel:
         a = np.asarray(self.a_star, dtype=float)
         if a.shape != (reliable.size, self.ground_truth.m):
             raise ValueError("a_star must be |reliable| x m")
-        if np.any(a < 0.0) or np.any(a > 1.0):
+        if not np.all((a >= 0.0) & (a <= 1.0)):
             raise ValueError("a_star entries must lie in [0, 1]")
         if self.noise not in ("bernoulli", "noiseless"):
             raise ValueError("noise must be 'bernoulli' or 'noiseless'")

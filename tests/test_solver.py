@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 
@@ -16,6 +17,7 @@ from qcrowd import (
     project_nuclear_ball,
     solve_recover_M,
 )
+from qcrowd import solver
 from qcrowd.core import feasibility_residuals
 from qcrowd.solver import _initial_point, _project_rows
 
@@ -110,6 +112,23 @@ def nuclear_oracle(M, rho):
         else:
             hi = mid
     return (U * np.maximum(s - hi, 0.0)) @ Vt
+
+
+def zero_start_dykstra_oracle(M, cap, rho, max_sweeps, tol=1e-9):
+    """Dykstra's loop with both corrections starting at zero and the tol
+    test after every sweep, calling the solver's two projections by module
+    attribute so that a monkeypatched counter sees them."""
+    x = np.asarray(M, dtype=float)
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    for _ in range(max_sweeps):
+        y = solver._project_rows(x + p, cap)
+        p = x + p - y
+        x = solver.project_nuclear_ball(y + q, rho)
+        q = y + q - x
+        if float(np.linalg.norm(x - y)) <= tol * (1.0 + float(np.linalg.norm(x))):
+            break
+    return x
 
 
 def greedy_enumeration_oracle(values, cap):
@@ -269,6 +288,29 @@ class TestDykstra:
         coarse = dykstra_project(M, 2.0, rho, max_sweeps=5, tol=1e-14)
         dist5 = np.linalg.norm(coarse - _project_rows(coarse, 2.0))
         assert dist <= 0.05 * dist5
+
+    # tol 0.1 ends the binding loop after 15 sweeps and tol 0.9 after one
+    @pytest.mark.parametrize("max_sweeps", [0, 1, 5, 30])
+    @pytest.mark.parametrize("rho,tol", [(1e6, 1e-9), (3.0, 1e-9), (3.0, 0.1),
+                                         (3.0, 0.9)],
+                             ids=["slack", "binding", "binding-tol-0.1",
+                                  "binding-tol-0.9"])
+    def test_matches_zero_start_oracle(self, monkeypatch, rho, tol, max_sweeps):
+        calls = Counter()
+        for name in ("_project_rows", "project_nuclear_ball"):
+            def counted(*args, _f=getattr(solver, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(solver, name, counted)
+        M = np.random.default_rng(5).standard_normal((8, 10)) * 4
+        got = dykstra_project(M, 2.0, rho, max_sweeps, tol=tol)
+        got_calls = Counter(calls)
+        calls.clear()
+        want = zero_start_dykstra_oracle(M, 2.0, rho, max_sweeps, tol=tol)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+        # the bench counts Dykstra sweeps and nuclear projections by these calls
+        assert got_calls == calls
 
     def test_polish_makes_box_and_rows_exact(self):
         from qcrowd.solver import _polish

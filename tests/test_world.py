@@ -331,8 +331,12 @@ class TestBuildWorld:
         # rows genuinely differ from the truth
         assert not np.allclose(world.a_star[0], world.ground_truth.r_star)
 
-    def test_world_model_validates_a_star(self):
+    @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan],
+                             ids=["above", "below", "nan"])
+    def test_world_model_validates_a_star(self, bad):
         gt = _descending_gt(6, 2)
-        with pytest.raises(ValueError):
+        a = np.full((2, 6), 0.5)
+        a[1, 3] = bad
+        with pytest.raises(ValueError, match=r"a_star entries must lie in \[0, 1\]"):
             WorldModel(ground_truth=gt, reliable_set=np.arange(2),
-                       a_star=np.full((2, 6), 1.5), adversary=None)
+                       a_star=a, adversary=None)
