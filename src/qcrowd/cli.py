@@ -325,6 +325,11 @@ def _check_projections():
     M = rng.random((6, 9))
     _require(np.array_equal(solver.project_nuclear_ball(M, 1e6), M),
              "nuclear projection moved a point inside the ball")
+    W = rng.standard_normal((6, 15))  # wide, the bound binds
+    U, s, Vt = np.linalg.svd(W, full_matrices=False)
+    want = (U * solver._simplex_threshold(s, 0.5 * s.sum())) @ Vt
+    _require(np.abs(solver.project_nuclear_ball(W, 0.5 * s.sum()) - want).max() <= 1e-9,
+             "nuclear projection of a wide binding point differs from the SVD one")
     feasible = solver._project_rows(M, 3.0)
     moved = solver.dykstra_project(feasible, 3.0, 1e6, 10)
     _require(np.linalg.norm(moved - feasible) < 1e-8,

@@ -267,8 +267,11 @@ class QuantileMatrix:
 
 def feasibility_residuals(M: np.ndarray, beta_m: int, rho: float) -> dict:
     """Constraint residuals of M: box (absolute), row-sum (absolute),
-    nuclear norm (relative to rho). All are 0 for a feasible matrix."""
+    nuclear norm (relative to rho). All are 0 for a feasible matrix, and
+    all are inf when M has a NaN or infinite entry."""
     M = np.asarray(M, dtype=float)
+    if not np.isfinite(M).all():
+        return {"box": math.inf, "row": math.inf, "nuc": math.inf}
     box = max(0.0, float(np.max(-M, initial=0.0)), float(np.max(M - 1.0, initial=0.0)))
     row = max(0.0, float(np.max(M.sum(axis=1) - beta_m, initial=0.0)))
     nuclear = float(np.linalg.svd(M, compute_uv=False).sum())

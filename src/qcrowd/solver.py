@@ -22,7 +22,8 @@ from .core import (
 
 
 class SvdFailure(RuntimeError):
-    """Raised when the singular value decomposition does not converge."""
+    """Raised when a singular value or Gram eigen decomposition does not
+    converge."""
 
 
 # Stop rule: converged once the best objective gains at most
@@ -126,23 +127,28 @@ def _simplex_threshold(s: np.ndarray, radius: float) -> np.ndarray:
     return np.maximum(s - theta, 0.0)
 
 
+def _frobenius_certifies(M: np.ndarray, bound: float) -> bool:
+    """True when sqrt(min(n, m)) * ||M||_F <= bound, which implies
+    ||M||_* <= bound. A Frobenius norm at or below 1e-150 certifies only the
+    zero matrix, since the squares of entries that small underflow."""
+    fro = float(np.linalg.norm(M))
+    return (math.sqrt(min(M.shape)) * fro <= bound
+            and (fro > 1e-150 or not M.any()))
+
+
 def nuclear_norm_within(M: np.ndarray, bound: float) -> bool:
     """True when ||M||_* <= bound, certified cheaply when possible.
 
     sqrt(rank) * ||M||_F upper-bounds the nuclear norm, which skips the SVD
     for comfortably interior points.
     """
-    fro = float(np.linalg.norm(M))
-    if math.sqrt(min(M.shape)) * fro <= bound:
-        return True
-    return float(_svd(M).sum()) <= bound
+    return _frobenius_certifies(M, bound) or float(_svd(M).sum()) <= bound
 
 
-def _svd(M: np.ndarray, compute_uv: bool = False):
-    """np.linalg.svd (thin when compute_uv), raising SvdFailure on a LAPACK
-    failure."""
+def _svd(M: np.ndarray) -> np.ndarray:
+    """Singular values of M, raising SvdFailure on a LAPACK failure."""
     try:
-        return np.linalg.svd(M, full_matrices=False, compute_uv=compute_uv)
+        return np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise SvdFailure("singular value decomposition did not converge") from exc
 
@@ -150,18 +156,48 @@ def _svd(M: np.ndarray, compute_uv: bool = False):
 def project_nuclear_ball(M: np.ndarray, rho: float) -> np.ndarray:
     """Euclidean projection of M onto the nuclear-norm ball of radius rho.
 
-    Projects the singular values onto the l1 ball (sorted-threshold rule)
-    and reconstructs; M is returned unchanged when already inside.
+    M is returned unchanged when already inside. Otherwise let Y be M, or
+    M.T when M is wide, divided by the power of two c just above its largest
+    absolute entry, so that its Gram matrix neither overflows nor
+    underflows. The eigenvectors V of the smaller Gram matrix Y.T @ Y are
+    Y's right singular vectors, and c times the column norms of W = Y @ V
+    are M's singular values s. These norms stay accurate where the square
+    root of a small Gram eigenvalue does not (its absolute error is about
+    sqrt(eps) * s_max). The singular values are projected onto the l1 ball
+    (sorted-threshold rule) to t, and only the kept components are rebuilt,
+    as c * (W_r * (t_r / s_r)) @ V_r.T; every kept s_r exceeds the shift, so
+    the division is safe.
+
+    Raises ValueError for rho <= 0 or for a NaN or infinite entry (checked
+    once the cheap inside-the-ball certificate has failed), and SvdFailure
+    when the eigendecomposition does not converge.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     M = np.asarray(M, dtype=float)
-    if math.sqrt(min(M.shape)) * float(np.linalg.norm(M)) <= rho:
+    if _frobenius_certifies(M, rho):
         return M
-    U, s, Vt = _svd(M, compute_uv=True)
+    c = float(np.abs(M).max())
+    if not math.isfinite(c):
+        raise ValueError("nuclear projection of a matrix with a NaN or infinite entry")
+    c = math.ldexp(1.0, math.frexp(c)[1])  # a power of two: exact scaling
+    wide = M.shape[0] < M.shape[1]
+    Y = (M.T if wide else M) / c
+    try:
+        V = np.linalg.eigh(Y.T @ Y)[1]
+    except np.linalg.LinAlgError as exc:
+        raise SvdFailure("Gram eigendecomposition did not converge") from exc
+    W = Y @ V
+    norms = np.sqrt(np.einsum("ij,ij->j", W, W))
+    order = np.argsort(-norms, kind="stable")
+    s = c * norms[order]
     if float(s.sum()) <= rho:
         return M
-    return (U * _simplex_threshold(s, rho)) @ Vt
+    t = _simplex_threshold(s, rho)
+    r = np.count_nonzero(t)
+    kept = order[:r]
+    P = (W[:, kept] * (t[:r] / s[:r] * c)) @ V[:, kept].T
+    return P.T if wide else P
 
 
 def dykstra_project(M: np.ndarray, cap: float, rho: float, max_sweeps: int,

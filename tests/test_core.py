@@ -178,6 +178,13 @@ class TestFeasibility:
         res = feasibility_residuals(M, 4, 2.0)
         assert res["nuc"] == pytest.approx((4.0 - 2.0) / 2.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_has_infinite_residuals(self, bad):
+        M = np.full((3, 4), 0.25)
+        M[2, 1] = bad
+        res = feasibility_residuals(M, beta_m=2, rho=10.0)
+        assert res == {"box": np.inf, "row": np.inf, "nuc": np.inf}
+
     def test_is_feasible_respects_tolerances(self, monkeypatch):
         # run_trial's feasibility_ok holds these residuals to TOL_FEAS
         res = feasibility_residuals(np.full((2, 3), 1.0 + 5e-7), 4, 100.0)

@@ -114,6 +114,28 @@ def nuclear_oracle(M, rho):
     return (U * np.maximum(s - hi, 0.0)) @ Vt
 
 
+@st.composite
+def _nuclear_inputs(draw):
+    """(M, frac): a tall, wide or square matrix, dense, with zero rows, or
+    of rank one, and rho / ||M||_* below one, down to just below it, where
+    the shift is tiny."""
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 9))
+    entries = st.floats(-10, 10, allow_nan=False)
+    kind = draw(st.sampled_from(["dense", "zero_rows", "rank_one"]))
+    if kind == "rank_one":
+        u = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+        v = np.array(draw(st.lists(entries, min_size=m, max_size=m)))
+        M = np.outer(u, v)
+    else:
+        M = np.array(draw(st.lists(st.lists(entries, min_size=m, max_size=m),
+                                   min_size=n, max_size=n)))
+        if kind == "zero_rows":
+            M[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 0.0
+    frac = draw(st.floats(0.01, 0.99) | st.sampled_from([1 - 1e-9, 1 - 1e-12]))
+    return M, frac
+
+
 def zero_start_dykstra_oracle(M, cap, rho, max_sweeps, tol=1e-9):
     """Dykstra's loop with both corrections starting at zero and the tol
     test after every sweep, calling the solver's two projections by module
@@ -263,9 +285,31 @@ class TestNuclearProjection:
     def test_svd_failure_is_wrapped(self, monkeypatch):
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("no convergence")
-        monkeypatch.setattr(np.linalg, "svd", boom)
+        monkeypatch.setattr(np.linalg, "eigh", boom)
         with pytest.raises(SvdFailure):
             project_nuclear_ball(np.eye(3) * 100, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        M = np.eye(3) * 100
+        M[1, 2] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            project_nuclear_ball(M, 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_nuclear_inputs())
+    @example((np.zeros((3, 4)), 1 - 1e-12))  # zero matrix: returned as is
+    @example((np.array([[1e-300, 0.0]]), 0.5))  # ||M||_F underflows to 0
+    @example((np.array([[8.52299733e-158]]), 0.03125))  # c * t would be subnormal
+    @example((np.outer([1.0, 2.0, 3.0], [1.0, -1.0]), 1 - 1e-12))
+    def test_matches_svd_oracle(self, case):
+        M, frac = case
+        nuc = float(np.linalg.svd(M, compute_uv=False).sum())
+        rho = frac * nuc or 1.0  # the zero matrix, any radius
+        got = project_nuclear_ball(M, rho)
+        want = nuclear_oracle(M, rho)
+        assert np.abs(got - want).max() <= 1e-9 * (1.0 + np.linalg.norm(M))
+        assert np.linalg.svd(got, compute_uv=False).sum() <= rho * (1.0 + 1e-9)
 
 
 class TestDykstra:
