@@ -265,17 +265,29 @@ class QuantileMatrix:
         object.__setattr__(self, "M", M)
 
 
+def _frobenius_certifies(M: np.ndarray, bound: float) -> bool:
+    """True when sqrt(min(n, m)) * ||M||_F <= bound, which implies
+    ||M||_* <= bound. A Frobenius norm at or below 1e-150 certifies only the
+    zero matrix, since the squares of entries that small underflow."""
+    fro = float(np.linalg.norm(M))
+    return (math.sqrt(min(M.shape)) * fro <= bound
+            and (fro > 1e-150 or not M.any()))
+
+
 def feasibility_residuals(M: np.ndarray, beta_m: int, rho: float) -> dict:
     """Constraint residuals of M: box (absolute), row-sum (absolute),
     nuclear norm (relative to rho). All are 0 for a feasible matrix, and
-    all are inf when M has a NaN or infinite entry."""
+    all are inf when M has a NaN or infinite entry. The nuclear residual is
+    0 without an SVD when the Frobenius certificate holds."""
     M = np.asarray(M, dtype=float)
     if not np.isfinite(M).all():
         return {"box": math.inf, "row": math.inf, "nuc": math.inf}
     box = max(0.0, float(np.max(-M, initial=0.0)), float(np.max(M - 1.0, initial=0.0)))
     row = max(0.0, float(np.max(M.sum(axis=1) - beta_m, initial=0.0)))
-    nuclear = float(np.linalg.svd(M, compute_uv=False).sum())
-    nuc = max((nuclear - rho) / rho, 0.0)
+    nuc = 0.0
+    if not _frobenius_certifies(M, rho):
+        nuclear = float(np.linalg.svd(M, compute_uv=False).sum())
+        nuc = max((nuclear - rho) / rho, 0.0)
     return {"box": box, "row": row, "nuc": nuc}
 
 

@@ -17,6 +17,7 @@ from .core import (
     ExperimentConfig,
     QuantileMatrix,
     SolverSettings,  # re-exported: qcrowd.solver.SolverSettings
+    _frobenius_certifies,
     feasibility_residuals,
 )
 
@@ -26,8 +27,10 @@ class SvdFailure(RuntimeError):
     converge."""
 
 
-# Stop rule: converged once the best objective gains at most
-# STOP_REL_OBJ * max(1, |best|) over the last STOP_WINDOW iterations.
+# Stop rules: converged once the best objective is within
+# STOP_REL_OBJ * max(1, |bound|) of the row program's optimum, or once it
+# gains at most STOP_REL_OBJ * max(1, |best|) over the last STOP_WINDOW
+# iterations.
 STOP_REL_OBJ = 1e-6
 STOP_WINDOW = 25
 DYKSTRA_SWEEPS = 30  # Dykstra sweeps per projected step
@@ -125,15 +128,6 @@ def _simplex_threshold(s: np.ndarray, radius: float) -> np.ndarray:
     rank = int(np.max(np.flatnonzero(positive))) + 1
     theta = (css[rank - 1] - radius) / rank
     return np.maximum(s - theta, 0.0)
-
-
-def _frobenius_certifies(M: np.ndarray, bound: float) -> bool:
-    """True when sqrt(min(n, m)) * ||M||_F <= bound, which implies
-    ||M||_* <= bound. A Frobenius norm at or below 1e-150 certifies only the
-    zero matrix, since the squares of entries that small underflow."""
-    fro = float(np.linalg.norm(M))
-    return (math.sqrt(min(M.shape)) * fro <= bound
-            and (fro > 1e-150 or not M.any()))
 
 
 def nuclear_norm_within(M: np.ndarray, bound: float) -> bool:
@@ -248,11 +242,32 @@ def greedy_row_oracle(values: np.ndarray, cap: int) -> np.ndarray:
     return ((rank < cap) & (A > 0.0)).astype(float)
 
 
-def _initial_point(n: int, m: int, beta: float, cap: int, rho: float) -> np.ndarray:
-    """beta * ones when that is feasible for all three constraints, else zeros."""
+def _start_value(n: int, m: int, beta: float, cap: int, rho: float) -> float:
+    """beta when beta * ones is feasible for all three constraints, else 0."""
     if (beta * m <= cap) and (beta <= 1.0) and (beta * math.sqrt(n * m) <= rho):
-        return np.full((n, m), beta)
-    return np.zeros((n, m))
+        return beta
+    return 0.0
+
+
+def _face_point(A: np.ndarray, cap: int, x0: float) -> np.ndarray:
+    """x0 * ones projected onto the optimal face of the row program
+    max <A, M> over {0 <= M_ij <= 1, row sums <= cap}, row by row.
+
+    With tau = max(0, the cap-th largest entry of the row), entries above
+    tau get 1 and entries below get 0; the entries equal to tau share the
+    leftover l = cap - #above, l / #ties each when tau > 0 and
+    min(x0, l / #ties) when tau = 0. This is also where the ascent from
+    x0 * ones ends when the nuclear ball is slack, since tied entries start
+    equal and stay equal. <A, face point> is the row program's optimum.
+    """
+    m = A.shape[1]
+    tau = np.maximum(np.partition(A, m - cap, axis=1)[:, m - cap], 0.0)[:, None]
+    above = A > tau
+    ties = A == tau
+    share = (cap - above.sum(axis=1, keepdims=True)) / np.maximum(
+        ties.sum(axis=1, keepdims=True), 1)
+    share = np.where(tau > 0.0, share, np.minimum(x0, share))
+    return np.where(above, 1.0, np.where(ties, share, 0.0))
 
 
 def _polish(M: np.ndarray, cap: float, rho: float) -> np.ndarray:
@@ -270,19 +285,39 @@ def solve_recover_M(ratings,
                     cfg: ExperimentConfig) -> Tuple[QuantileMatrix, SolveReport]:
     """Solve the constrained linear program for the quantile matrix.
 
-    Projected subgradient ascent M <- Pi(M + eta_t * A) from beta * ones,
-    where Pi is the Dykstra projection onto the feasible set; returns the
-    best iterate by objective, polished so box/row-sum constraints hold
-    exactly. The polished best iterate is returned whether or not the stop
-    rule was met by max_iters; report.converged says which.
+    Projected subgradient ascent M <- Pi(M + eta_t * A), where Pi is the
+    Dykstra projection onto the feasible set. It starts at the row program's
+    face point L (see _face_point) when L lies in the nuclear ball, and
+    otherwise at beta * ones (zeros when that is infeasible). Every solve
+    takes at least one step. It stops, converged, once the best objective
+    is within STOP_REL_OBJ * max(1, |bound|) of bound = <A, L>, the row
+    program's optimum and an upper bound on the program's, or once it gains
+    at most STOP_REL_OBJ * max(1, |best|) over STOP_WINDOW iterations.
+    Returns the best iterate by objective, polished so box/row-sum
+    constraints hold exactly, whether or not a stop rule was met by
+    max_iters; report.converged says which.
     """
+    return _solve(ratings, cfg, face_start=True)
+
+
+def _solve(ratings, cfg: ExperimentConfig,
+           face_start: bool) -> Tuple[QuantileMatrix, SolveReport]:
+    """The body of solve_recover_M. With face_start False the ascent starts
+    at beta * ones (or zeros) even when the face point lies in the ball, so
+    a test can check the ascent itself on a slack instance."""
     settings = cfg.solver
     A = np.asarray(ratings.values, dtype=float)
     n, m = A.shape
     cap = cfg.beta_m
     rho = cfg.rho
 
-    M = _initial_point(n, m, cfg.beta, cap, rho)
+    x0 = _start_value(n, m, cfg.beta, cap, rho)
+    L = _face_point(A, cap, x0)
+    bound = float(np.vdot(A, L))
+    if face_start and nuclear_norm_within(L, rho):
+        M = L
+    else:
+        M = np.full((n, m), x0)
     if settings.eta0 is not None:
         eta0 = settings.eta0
     else:
@@ -303,8 +338,9 @@ def solve_recover_M(ratings,
             best_obj = obj
             best_M = M
         trace.append(best_obj)
-        if t > STOP_WINDOW and trace[-1] - trace[-1 - STOP_WINDOW] <= (
-                STOP_REL_OBJ * max(1.0, abs(trace[-1]))):
+        if best_obj >= bound - STOP_REL_OBJ * max(1.0, abs(bound)) or (
+                t > STOP_WINDOW and trace[-1] - trace[-1 - STOP_WINDOW] <= (
+                    STOP_REL_OBJ * max(1.0, abs(trace[-1])))):
             converged = True
             break
 

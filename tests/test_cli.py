@@ -231,8 +231,10 @@ class TestRunMode:
                        rho_scale=0.1) == flag
 
     def test_exit_2_on_nonconverged_without_flag(self, tmp_path, config_file):
+        # the ball binds at rho_scale 0.1, so 2 steps cannot certify
         text = config_file.read_text().replace("solver.max_iters = 250",
                                                "solver.max_iters = 2")
+        text += "rho_scale = 0.1\n"
         strict = config_file.parent / "strict.cfg"
         strict.write_text(text)
         out = tmp_path / "out"

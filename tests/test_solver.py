@@ -19,7 +19,7 @@ from qcrowd import (
 )
 from qcrowd import solver
 from qcrowd.core import feasibility_residuals
-from qcrowd.solver import _initial_point, _project_rows
+from qcrowd.solver import _face_point, _project_rows, _solve, _start_value
 
 from conftest import make_config
 
@@ -392,6 +392,69 @@ class TestGreedyRowOracle:
             assert np.array_equal(got, want)
 
 
+# --- face point of the row program ---------------------------------------------
+
+# ratings with ties, zeros and negatives: at small m many rows have fewer
+# positive entries than the cap, or a tie straddling the cap-th place
+_FACE_ENTRIES = st.sampled_from([-1.0, 0.0, 0.0, 0.5, 1.0, 1.0, 2.0])
+
+
+@st.composite
+def _face_inputs(draw):
+    """(A, cap, x0), with x0 = 0 or the uniform start cap / m."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 8))
+    A = np.array(draw(st.lists(st.lists(_FACE_ENTRIES, min_size=m, max_size=m),
+                               min_size=n, max_size=n)))
+    cap = draw(st.integers(1, m))
+    x0 = draw(st.sampled_from([0.0, cap / m]))
+    return A, cap, x0
+
+
+def long_ascent(A, cap, x0, max_steps=5000):
+    """The solver's ascent with the ball slack, M <- Pi_rows(M + A / sqrt(t))
+    from x0 * ones, run until a step leaves M unchanged."""
+    M = np.full(A.shape, x0)
+    for t in range(1, max_steps + 1):
+        step = _project_rows(M + A / np.sqrt(t), cap)
+        if np.array_equal(step, M):
+            return M
+        M = step
+    raise AssertionError("ascent did not settle")
+
+
+class TestFacePoint:
+    def test_ties_share_the_leftover(self):
+        A = np.array([[2.0, 1.0, 1.0, 1.0, -1.0],    # tau = 1 > 0
+                      [0.5, 0.0, 0.0, -1.0, 0.0],    # tau = 0: min(x0, l / 3)
+                      [-1.0, -1.0, 0.0, 0.0, 0.0]])  # nothing positive
+        got = _face_point(A, 3, 0.2)
+        want = [[1.0, 2 / 3, 2 / 3, 2 / 3, 0.0],
+                [1.0, 0.2, 0.2, 0.0, 0.2],
+                [0.0, 0.0, 0.2, 0.2, 0.2]]
+        assert np.allclose(got, want, rtol=0, atol=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_face_inputs())
+    def test_in_row_set_and_reaches_greedy_objective(self, case):
+        A, cap, x0 = case
+        L = _face_point(A, cap, x0)
+        assert L.min() >= 0.0 and L.max() <= 1.0
+        assert np.all(L.sum(axis=1) <= cap * (1 + 1e-15))
+        greedy = float(np.vdot(A, greedy_row_oracle(A, cap)))
+        assert float(np.vdot(A, L)) == pytest.approx(greedy, rel=1e-15, abs=1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_face_inputs())
+    @example((np.array([[1.0, 1.0, 1.0, 0.0]]), 2, 0.5))  # a three-way tie
+    @example((np.array([[0.5, 0.0, 0.0, 0.0]]), 3, 0.75))  # x0 * ties > l
+    @example((np.array([[0.5, 0.0, 0.0, 0.0]]), 3, 0.0))
+    def test_is_the_limit_of_the_ascent(self, case):
+        A, cap, x0 = case
+        got = _face_point(A, cap, x0)
+        assert np.abs(got - long_ascent(A, cap, x0)).max() <= 1e-9
+
+
 # --- full solve ----------------------------------------------------------------
 
 def _observed(values):
@@ -458,14 +521,43 @@ class TestSolveRecoverM:
             assert report.residual_nuc <= 1e-4
 
     def test_not_converged_carries_result(self):
+        # at rho_scale 0.05 rho is 2.7, below the Frobenius norm 3.5 of the
+        # row program's face point, so the ball binds and 3 steps cannot
+        # certify
         rng = np.random.default_rng(12)
-        cfg = make_config(n=6, m=8, beta=0.25, k=8, k0=8,
+        cfg = make_config(n=6, m=8, beta=0.25, k=8, k0=8, rho_scale=0.05,
                           solver=SolverSettings(max_iters=3))
         matrix, report = solve_recover_M(_observed(rng.random((6, 8))), cfg)
         assert report.iterations == 3
         assert not report.converged
         res = feasibility_residuals(matrix.M, cfg.beta_m, cfg.rho)
         assert res["box"] <= 1e-6 and res["row"] <= 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([0.02, 0.1, 0.5, 1.0, 10.0]))
+    def test_objective_never_above_row_program_bound(self, seed, rho_scale):
+        # small rho_scale binds, large is slack; the bound holds either way
+        rng = np.random.default_rng(seed)
+        cfg = make_config(n=8, m=10, beta=0.3, k=10, k0=10, rho_scale=rho_scale,
+                          solver=SolverSettings(max_iters=60))
+        A = rng.random((8, 10)) * (rng.random((8, 10)) < 0.6)
+        _, report = solve_recover_M(_observed(A), cfg)
+        bound = float(np.vdot(A, greedy_row_oracle(A, cfg.beta_m)))
+        assert report.objective <= bound + 1e-12 * max(1.0, bound)
+
+    def test_slack_solve_starts_at_the_face_point(self):
+        rng = np.random.default_rng(14)
+        cfg = make_config(n=8, m=10, beta=0.3, k=10, k0=10,
+                          solver=SolverSettings(max_iters=60))
+        A = rng.random((8, 10))
+        matrix, report = solve_recover_M(_observed(A), cfg)
+        assert report.converged and report.iterations == 1
+        L = _face_point(A, cfg.beta_m, cfg.beta)
+        assert np.abs(matrix.M - L).max() <= 1e-12
+        # from beta * ones the ascent takes more steps to the same point
+        matrix, report = _solve(_observed(A), cfg, face_start=False)
+        assert report.iterations > 1
 
     def test_feasibility_residuals_within_declared_tolerances(self):
         rng = np.random.default_rng(13)
@@ -479,14 +571,11 @@ class TestSolveRecoverM:
 
 class TestInitialPoint:
     def test_uniform_start_when_feasible(self):
-        M0 = _initial_point(4, 10, beta=0.2, cap=2, rho=100.0)
-        assert np.allclose(M0, 0.2)
+        assert _start_value(4, 10, beta=0.2, cap=2, rho=100.0) == 0.2
 
     def test_fallback_to_zero_when_row_sum_exceeds_cap(self):
         # beta * m = 2.4 rounds down to cap 2: uniform start infeasible
-        M0 = _initial_point(4, 8, beta=0.3, cap=2, rho=100.0)
-        assert np.array_equal(M0, np.zeros((4, 8)))
+        assert _start_value(4, 8, beta=0.3, cap=2, rho=100.0) == 0.0
 
     def test_fallback_to_zero_when_nuclear_bound_tight(self):
-        M0 = _initial_point(10, 10, beta=0.5, cap=5, rho=1.0)
-        assert np.array_equal(M0, np.zeros((10, 10)))
+        assert _start_value(10, 10, beta=0.5, cap=5, rho=1.0) == 0.0
