@@ -152,8 +152,11 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
 
     gt = world.ground_truth
     gap = quality_gap(selection, gt, cfg.beta_m)
+    # denoised_matrix copies the other rows through, so the difference is
+    # zero outside the reliable rows and they alone carry its norm
+    reliable = world.reliable_set
     B = denoised_matrix(world, observed, cfg)
-    opnorm = operator_norm(observed.values - B)
+    opnorm = operator_norm(observed.values[reliable] - B[reliable])
     gap_a, gap_r = monotone_transfer_gaps(matrix.M, world, cfg)
     D = deviations(matrix.M, requester.r_tilde, gt.r_star, cfg.k0, cfg.m)
     max_dev = max_set_deviation(D, cfg.alpha_n)

@@ -180,7 +180,7 @@ class GroundTruth:
         t = np.asarray(self.t_star)
         if r.ndim != 1 or t.shape != r.shape:
             raise ValueError("r_star and t_star must be vectors of equal length")
-        if np.any(r < 0.0) or np.any(r > 1.0):
+        if not ((r >= 0.0) & (r <= 1.0)).all():
             raise ValueError("r_star entries must lie in [0, 1]")
         if not np.isin(t, (0, 1)).all():
             raise ValueError("t_star must be binary")
@@ -216,11 +216,12 @@ class ObservedRatings:
         mk = np.asarray(self.mask)
         if v.shape != mk.shape or v.ndim != 2:
             raise ValueError("values and mask must be matrices of equal shape")
-        if not np.isin(mk, (0, 1)).all():
+        unrated = mk == 0
+        if not (unrated | (mk == 1)).all():
             raise ValueError("mask must be binary")
-        if np.any(v < 0.0) or np.any(v > 1.0):
+        if not ((v >= 0.0) & (v <= 1.0)).all():
             raise ValueError("values must lie in [0, 1]")
-        if np.any(v[mk == 0] != 0.0):
+        if (unrated & (v != 0.0)).any():
             raise ValueError("values must be 0 on unrated cells")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "mask", mk.astype(np.int8))
@@ -248,7 +249,7 @@ class RequesterRatings:
                 raise ValueError("rating vector and mask must be equal-length vectors")
             if np.any(vec[mk == 0] != 0.0):
                 raise ValueError("ratings must be 0 outside the mask")
-            if np.any(vec < 0.0) or np.any(vec > 1.0):
+            if not ((vec >= 0.0) & (vec <= 1.0)).all():
                 raise ValueError("ratings must lie in [0, 1]")
 
 

@@ -233,11 +233,10 @@ def adversary_fill(strategy: AdversaryStrategy, plan, reliable_values: np.ndarra
         # order (block 0 is the true top set), taken cyclically.
         desc = np.argsort(-r_star, kind="stable")
         block = 1 + _group_of(ordinal, alpha_n, n_adv)
+        start = (block * beta_m) % m
         values = np.full((n_adv, m), strategy.block_low)
-        for a in range(n_adv):
-            start = (block[a] * beta_m) % m
-            own = desc[np.arange(start, start + beta_m) % m]
-            values[a, own] = 1.0
+        values[ordinal[:, None],
+               desc[(start[:, None] + np.arange(beta_m)) % m]] = 1.0
     elif isinstance(strategy, DenseHalfPositive):
         size = strategy.block_size
         if size == 0:

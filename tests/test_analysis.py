@@ -12,6 +12,7 @@ from qcrowd import (
     RandomSpam,
     SelectionSet,
     SolverSettings,
+    SymmetricBlocks,
     TOL_FEAS,
     TOL_NUC,
     WorldModel,
@@ -26,7 +27,8 @@ from qcrowd import (
     realize_observations,
     run_trial,
 )
-from qcrowd import analysis
+from qcrowd import analysis, assignment
+from qcrowd.world import STRATEGIES
 
 from conftest import make_config
 
@@ -259,6 +261,47 @@ class TestRunTrial:
                           solver=SolverSettings(max_iters=2))
         res = run_trial(cfg, 11)
         assert not res.solver_converged
+
+
+    @pytest.mark.parametrize("L", [1.0, 2.0])
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda c: c.__name__)
+    def test_opnorm_of_reliable_rows_is_the_full_norm(self, monkeypatch,
+                                                      strategy, L):
+        seen = []
+
+        def recording(world, observed, cfg):
+            B = denoised_matrix(world, observed, cfg)
+            seen.append((world, observed, B))
+            return B
+
+        monkeypatch.setattr(analysis, "denoised_matrix", recording)
+        res = run_trial(make_config(adversary=strategy(), L=L), 12)
+        (world, observed, B), = seen
+        diff = observed.values - B
+        others = np.setdiff1d(np.arange(diff.shape[0]), world.reliable_set)
+        assert others.size > 0
+        assert np.all(diff[others] == 0.0)
+        assert res.opnorm > 0.0
+        assert res.opnorm == pytest.approx(operator_norm(diff), rel=1e-12)
+
+    def test_calls_each_traced_function_once(self, monkeypatch):
+        # the bench tracer times these through their module attributes
+        counts = {}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for module, name in ((analysis, "operator_norm"),
+                             (analysis, "denoised_matrix"),
+                             (assignment, "adversary_fill")):
+            monkeypatch.setattr(module, name,
+                                counting(name, getattr(module, name)))
+        run_trial(make_config(adversary=SymmetricBlocks()), 13)
+        assert counts == {"operator_norm": 1, "denoised_matrix": 1,
+                          "adversary_fill": 1}
 
 
 class TestReplaceConfig:

@@ -10,6 +10,7 @@ from qcrowd import (
     GroundTruth,
     ObservedRatings,
     RandomSpam,
+    RequesterRatings,
     SelectionSet,
     SolverSettings,
     derive_rng,
@@ -20,6 +21,12 @@ from qcrowd import analysis
 from qcrowd.core import round_half_up, top_indices
 
 from conftest import make_config
+
+
+# a NaN compares false both ways, so a range check written as two
+# rejections (v < 0 or v > 1) lets it through
+NON_FINITE = [np.nan, np.inf, -np.inf]
+NON_FINITE_IDS = ["nan", "+inf", "-inf"]
 
 
 class TestValidateConfig:
@@ -136,6 +143,11 @@ class TestGroundTruth:
         with pytest.raises(ValueError):
             GroundTruth.from_ratings([0.5, 1.2], beta_m=1)
 
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_rejects_non_finite_rating(self, bad):
+        with pytest.raises(ValueError, match=r"r_star entries must lie in \[0, 1\]"):
+            GroundTruth(r_star=np.array([0.5, bad]), t_star=np.array([1, 0]))
+
 
 class TestObservedRatings:
     def test_rejects_values_outside_mask(self):
@@ -145,6 +157,28 @@ class TestObservedRatings:
     def test_rejects_nonbinary_mask(self):
         with pytest.raises(ValueError, match="binary"):
             ObservedRatings(values=np.array([[0.5]]), mask=np.array([[2]]))
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_rejects_non_finite_rated_value(self, bad):
+        values = np.array([[0.5, 0.0], [1.0, 0.0]])
+        values[1, 0] = bad
+        mask = np.array([[1, 0], [1, 1]])
+        with pytest.raises(ValueError, match=r"values must lie in \[0, 1\]"):
+            ObservedRatings(values=values, mask=mask)
+
+
+class TestRequesterRatings:
+    @pytest.mark.parametrize("second", [False, True], ids=["first", "second"])
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_rejects_non_finite_masked_rating(self, bad, second):
+        good = np.array([0.5, 0.0, 1.0])
+        mask = np.array([1, 0, 1])
+        broken = good.copy()
+        broken[2] = bad
+        vectors = (good, broken) if second else (broken, good)
+        with pytest.raises(ValueError, match=r"ratings must lie in \[0, 1\]"):
+            RequesterRatings(r_tilde=vectors[0], mask=mask,
+                             r_tilde_prime=vectors[1], mask_prime=mask)
 
 
 class TestSelectionSet:

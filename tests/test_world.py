@@ -46,6 +46,25 @@ def exhaustive_violation_oracle(r_star, a_star, L):
     return worst
 
 
+def symmetric_blocks_oracle(strategy, plan, reliable_set, gt):
+    """Per-row reference for the SymmetricBlocks fill: adversary a (in
+    rater order) joins group a // alpha_n, the remainder joining the last
+    full group, and group b rates the beta_m items from position
+    (b + 1) * beta_m of the descending r_star order (cyclically) with 1."""
+    n, m = plan.mask.shape
+    adv_rows = np.setdiff1d(np.arange(n), reliable_set)
+    alpha_n = len(reliable_set)
+    beta_m = int(gt.t_star.sum())
+    desc = np.argsort(-gt.r_star, kind="stable")
+    n_full = max(adv_rows.size // alpha_n, 1)
+    values = np.full((adv_rows.size, m), strategy.block_low)
+    for a in range(adv_rows.size):
+        block = 1 + min(a // alpha_n, n_full - 1)
+        start = (block * beta_m) % m
+        values[a, desc[np.arange(start, start + beta_m) % m]] = 1.0
+    return values * plan.mask[adv_rows]
+
+
 @st.composite
 def _monotonicity_inputs(draw):
     m = draw(st.integers(1, 12))
@@ -221,6 +240,26 @@ class TestSymmetricBlocks:
     def test_bad_parameter_rejected(self):
         with pytest.raises(StrategyError):
             SymmetricBlocks(block_low=1.5)
+
+    @pytest.mark.parametrize("n, m, alpha_n, beta_m", [
+        (8, 8, 2, 2),     # n = m, blocks tile the items exactly
+        (10, 10, 2, 3),   # m not a multiple of beta_m; block 3 wraps (9 + 3 > 10)
+        (10, 12, 3, 2),   # 7 adversaries in groups of 3: one remainder rater
+        (11, 13, 2, 5),   # wrap-around plus a remainder rater
+        (5, 7, 3, 4),     # fewer adversaries than reliable raters; wraps
+        (4, 4, 1, 4),     # beta_m = m: every block is every item
+    ])
+    def test_matches_per_row_loop(self, n, m, alpha_n, beta_m):
+        rng = derive_rng(n * 1000 + m, "blocks")
+        gt = GroundTruth.from_ratings(rng.uniform(size=m), beta_m)
+        reliable = np.sort(rng.choice(n, size=alpha_n, replace=False))
+        mask = (rng.random((n, m)) < 0.7).astype(np.int8)
+        plan = AssignmentPlan(mask=mask, pruned_rows=0, pruned_cols=0)
+        strategy = SymmetricBlocks(block_low=0.6)
+        fill = adversary_fill(strategy, plan, np.zeros((alpha_n, m)),
+                              reliable, gt, derive_rng(0, "adv"))
+        assert np.array_equal(
+            fill, symmetric_blocks_oracle(strategy, plan, reliable, gt))
 
 
 # 0-indexed halves of the 10x12 spam example: three blocks of two raters,
