@@ -88,7 +88,7 @@ def realize_observations(plan: AssignmentPlan, world: WorldModel,
     adv_rows = np.setdiff1d(np.arange(n), reliable)
     if adv_rows.size:
         values[adv_rows] = adversary_fill(
-            world.adversary, plan, values[reliable], reliable,
+            world.adversary, plan, values[reliable], adv_rows,
             world.ground_truth, rng,
         )
     return ObservedRatings(values=values, mask=plan.mask)

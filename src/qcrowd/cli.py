@@ -1,6 +1,6 @@
-"""Experiment runner: parse flat key=value configs, execute single runs,
-k-sweeps, the invariant check suite, or a rounding demo, and write
-deterministic CSV outputs."""
+"""Experiment runner: parse flat key=value configs, run trials at one k
+(`--mode run`) or over the sweep k, 2k, 4k (`--mode sweep`), and write
+deterministic CSV outputs. The invariant checks live in the test suite."""
 
 from __future__ import annotations
 
@@ -11,21 +11,21 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import Optional
 
 import click
 import numpy as np
 
-from . import analysis, quantile, solver, world
+from . import analysis, world
 from .analysis import run_trial
-from .assignment import draw_assignment
 from .core import (
+    CONFIG_KEYS,
+    REQUIRED_KEYS,
+    SOLVER_KEYS,
     ConfigError,
     ExperimentConfig,
-    GroundTruth,
     SolverSettings,
-    TOL_FEAS,
-    derive_rng,
+    scalar_fields,
 )
 
 SEED_ENV_VAR = "QCROWD_SEED"
@@ -35,18 +35,9 @@ RESULT_COLUMNS = (
     "feas_row", "feas_nuc", "round_iters", "accepted", "opnorm",
 )
 
-_REQUIRED_KEYS = ("n", "m", "alpha", "beta", "epsilon", "delta", "k", "k0")
-_INT_KEYS = {"n", "m", "k", "k0", "seed"}
-_FLOAT_KEYS = {"alpha", "beta", "epsilon", "delta", "L", "epsilon0", "rho_scale"}
-
 # strategy name -> (class, {settable parameter: int or float})
-_ADVERSARIES = {
-    cls.__name__: (cls, {name: kind for name, kind in get_type_hints(cls).items()
-                         if kind in (int, float)})
-    for cls in world.STRATEGIES
-}
-
-_SOLVER_KEYS = {"max_iters": int, "eta0": float}
+_ADVERSARIES = {cls.__name__: (cls, scalar_fields(cls))
+                for cls in world.STRATEGIES}
 
 
 class ParseError(ValueError):
@@ -97,23 +88,21 @@ def parse_config(text: str) -> ExperimentConfig:
     adversary_params = {}
     solver_params = {}
     for key, value in pairs.items():
-        if key in _INT_KEYS:
-            base[key] = _convert(value, int, key, lines[key])
-        elif key in _FLOAT_KEYS:
-            base[key] = _convert(value, float, key, lines[key])
+        if key in CONFIG_KEYS:
+            base[key] = _convert(value, CONFIG_KEYS[key], key, lines[key])
         elif key == "adversary":
             adversary_name = value
         elif key.startswith("adversary."):
             adversary_params[key[len("adversary."):]] = (key, value)
         elif key.startswith("solver."):
             name = key[len("solver."):]
-            if name not in _SOLVER_KEYS:
+            if name not in SOLVER_KEYS:
                 raise ParseError(f"line {lines[key]}: unknown solver key '{key}'")
-            solver_params[name] = _convert(value, _SOLVER_KEYS[name], key, lines[key])
+            solver_params[name] = _convert(value, SOLVER_KEYS[name], key, lines[key])
         else:
             raise ParseError(f"line {lines[key]}: unknown key '{key}'")
 
-    missing = [k for k in _REQUIRED_KEYS if k not in base]
+    missing = [k for k in REQUIRED_KEYS if k not in base]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
@@ -186,8 +175,9 @@ def _result_row(r: analysis.TrialResult):
 
 def _run_trials(cfg: ExperimentConfig, trials: int, jobs: int) -> list:
     seeds = [cfg.seed + t for t in range(trials)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, trials)  # a worker beyond the trial count idles
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_trial, [cfg] * trials, seeds))
     return [run_trial(cfg, seed) for seed in seeds]
 
@@ -211,221 +201,57 @@ _SUMMARY_HEADER = (
 
 
 def run_experiment(spec: RunSpec) -> int:
-    """Execute a RunSpec; returns the process exit code (0 ok, 1 config
-    problems or failed checks, 2 non-converged trials without the
-    allow flag)."""
-    if spec.mode in ("run", "sweep"):
-        if spec.config_path is None:
-            raise ConfigError(f"--config is required for mode '{spec.mode}'")
-        cfg = parse_config(Path(spec.config_path).read_text())
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            try:
-                seed = int(env_seed)
-            except ValueError:
-                raise ConfigError(
-                    f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
-            cfg = replace(cfg, seed=seed)
-        if spec.rho_scale is not None:
-            cfg = replace(cfg, rho_scale=spec.rho_scale)
-        spec.out_dir.mkdir(parents=True, exist_ok=True)
-        if spec.mode == "run":
-            grid = [cfg.k]
-        else:
-            grid = sorted({min(cfg.k * 2 ** i, cfg.m) for i in range(3)})
-        all_results = []
-        summary_rows = []
-        for k in grid:
-            results = _run_trials(replace(cfg, k=k), spec.trials, spec.jobs)
-            all_results.extend(results)
-            summary_rows.append(_summary_row(k, results))
-        _write_csv(spec.out_dir / "results.csv", RESULT_COLUMNS,
-                   [_result_row(r) for r in all_results])
-        _write_csv(spec.out_dir / "summary.csv", _SUMMARY_HEADER, summary_rows)
-        bad = sum(not r.solver_converged for r in all_results)
-        if bad and not spec.allow_nonconverged:
-            click.echo(f"{bad}/{len(all_results)} trials did not converge", err=True)
-            return 2
-        return 0
-
-    if spec.mode == "check":
-        return run_check_suite()
-
-    if spec.mode == "round-demo":
-        spec.out_dir.mkdir(parents=True, exist_ok=True)
-        return run_round_demo(spec.out_dir)
-
-    raise ConfigError(f"unknown mode '{spec.mode}'")
-
-
-# ---------------------------------------------------------------------------
-# check suite: fast, deterministic invariant battery
-# ---------------------------------------------------------------------------
-
-def _require(cond, what: str) -> None:
-    """Fail the current check with `what`; unlike assert, this also holds
-    under python -O."""
-    if not cond:
-        raise AssertionError(what)
-
-
-def _check_config_examples():
-    cfg = ExperimentConfig(
-        n=10, m=12, alpha=0.4, beta=1 / 6, epsilon=0.2, delta=0.1, k=6, k0=6,
-        adversary=world.RandomSpam())
-    _require(cfg.alpha_n == 4 and cfg.beta_m == 2,
-             f"alpha_n, beta_m = {cfg.alpha_n}, {cfg.beta_m}, expected 4, 2")
-    try:
-        ExperimentConfig(
-            n=10, m=5, alpha=0.5, beta=0.5, epsilon=0.5, delta=0.1, k=2, k0=2)
-    except ConfigError:
-        pass
-    else:
-        raise AssertionError("m < n must be rejected")
-
-
-def _check_rng_streams():
-    a = derive_rng(7, "assign").random(100)
-    b = derive_rng(7, "assign").random(100)
-    c = derive_rng(7, "self-ratings").random(100)
-    _require(np.array_equal(a, b), "same seed and label gave different streams")
-    _require(not np.array_equal(a, c), "different labels gave the same stream")
-
-
-def _check_ground_truth():
-    rng = derive_rng(11, "gt")
-    for _ in range(5):
-        r = rng.random(40)
-        gt = GroundTruth.from_ratings(r, 7)
-        order = np.argsort(-r, kind="stable")[:7]
-        _require(set(np.flatnonzero(gt.t_star)) == set(order),
-                 "t_star does not mark the top entries of r_star")
-
-
-def _check_assignment_degrees():
-    cfg = ExperimentConfig(
-        n=60, m=80, alpha=0.5, beta=0.25, epsilon=0.5, delta=0.1, k=8, k0=8,
-        adversary=world.RandomSpam())
-    for s in range(5):
-        plan = draw_assignment(cfg, derive_rng(s, "assign"))
-        _require(plan.row_degrees.max() <= 2 * cfg.k, "row degree above 2k")
-        _require(plan.col_degrees.max() <= 2 * cfg.k, "column degree above 2k")
-
-
-def _check_projections():
-    rng = derive_rng(3, "proj")
-    v = rng.random(12) * 3 - 1
-    proj = solver.project_capped_box_simplex(v, 4)
-    again = solver.project_capped_box_simplex(proj, 4)
-    _require(np.abs(proj - again).max() < 1e-8,
-             "box-simplex projection is not idempotent")
-    _require(np.allclose(solver.project_capped_box_simplex(np.array([2.0, 2.0]), 1),
-                         [0.5, 0.5], atol=1e-9),
-             "projection of (2, 2) onto the cap-1 simplex is not (0.5, 0.5)")
-    M = rng.random((6, 9))
-    _require(np.array_equal(solver.project_nuclear_ball(M, 1e6), M),
-             "nuclear projection moved a point inside the ball")
-    W = rng.standard_normal((6, 15))  # wide, the bound binds
-    U, s, Vt = np.linalg.svd(W, full_matrices=False)
-    want = (U * solver._simplex_threshold(s, 0.5 * s.sum())) @ Vt
-    _require(np.abs(solver.project_nuclear_ball(W, 0.5 * s.sum()) - want).max() <= 1e-9,
-             "nuclear projection of a wide binding point differs from the SVD one")
-    feasible = solver._project_rows(M, 3.0)
-    moved = solver.dykstra_project(feasible, 3.0, 1e6, 10)
-    _require(np.linalg.norm(moved - feasible) < 1e-8,
-             "Dykstra projection moved a feasible point")
-    B = rng.standard_normal((8, 10)) * 4  # nuclear bound binds: sweeps loop
-    bound = solver.dykstra_project(B, 2.0, 3.0, 30)
-    _require(np.linalg.svd(bound, compute_uv=False).sum() <= 3.0 * (1 + 1e-9),
-             "Dykstra projection left the nuclear ball")
-    _require(not np.array_equal(bound, solver._project_rows(B, 2.0)),
-             "Dykstra projection stopped at the row projection of a binding point")
-
-
-def _check_solver_small():
-    cfg = ExperimentConfig(
-        n=8, m=12, alpha=0.5, beta=0.25, epsilon=0.5, delta=0.1, k=12, k0=12,
-        adversary=world.RandomSpam(), solver=SolverSettings(max_iters=400))
-    rng = derive_rng(5, "solve")
-    values = rng.random((8, 12))
-    from .core import ObservedRatings
-    obs = ObservedRatings(values=values, mask=np.ones((8, 12), dtype=np.int8))
-    _, report = solver.solve_recover_M(obs, cfg)
-    greedy = solver.greedy_row_oracle(values, cfg.beta_m)
-    _require(report.objective <= float(np.vdot(values, greedy)) + 1e-9,
-             "solver objective exceeds the greedy upper bound")
-    _require(report.residual_box <= TOL_FEAS and report.residual_row <= TOL_FEAS,
-             "solver output violates the box or row-sum constraints")
-
-
-def _check_rounding():
-    rng = derive_rng(9, "round")
-    T0 = rng.random(20) * 0.6
-    draws = quantile.round_offsets(T0, rng.random(20000))
-    freq = draws.mean(axis=0)
-    sigma = np.sqrt(np.maximum(T0 * (1 - T0), 1e-12) / 20000)
-    _require(np.all(np.abs(freq - T0) <= 4 * sigma + 1e-9),
-             "rounding frequencies stray more than 4 sigma from T0")
-    _require(draws.sum(axis=1).max() <= math.ceil(T0.sum()),
-             "a rounded set exceeds ceil(sum T0) items")
-
-
-def _check_recover_exact():
-    cfg = ExperimentConfig(
-        n=20, m=20, alpha=1.0, beta=0.2, epsilon=0.2, delta=0.1, k=20, k0=20,
-        noise="noiseless", truth=("two_level", 0.0, 1.0),
-        solver=SolverSettings(max_iters=600))
-    res = run_trial(cfg, 123)
-    _require(res.quality_gap == 0.0, f"quality gap {res.quality_gap}, expected 0")
-    _require(res.cardinality_ok and res.feasibility_ok,
-             "selection too large or solver output infeasible")
-    _require(res.gap_r <= cfg.L * res.gap_a + cfg.epsilon0 + 1e-9,
-             "monotone transfer inequality violated")
-
-
-_CHECKS = (
-    ("config validation examples", _check_config_examples),
-    ("rng stream determinism and separation", _check_rng_streams),
-    ("ground truth marks the top entries", _check_ground_truth),
-    ("assignment degree bounds", _check_assignment_degrees),
-    ("projection identities", _check_projections),
-    ("solver feasibility and oracle dominance", _check_solver_small),
-    ("rounding unbiasedness and cardinality", _check_rounding),
-    ("honest-world exact recovery", _check_recover_exact),
-)
-
-
-def run_check_suite() -> int:
-    failures = 0
-    for name, fn in _CHECKS:
+    """Execute a RunSpec; returns the process exit code (0 ok, 2
+    non-converged trials without the allow flag). Malformed input raises."""
+    if spec.mode not in ("run", "sweep"):
+        raise ConfigError(f"unknown mode '{spec.mode}'")
+    if spec.config_path is None:
+        raise ConfigError(f"--config is required for mode '{spec.mode}'")
+    cfg = parse_config(Path(spec.config_path).read_text())
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    if env_seed is not None:
         try:
-            fn()
-        except Exception as exc:  # noqa: BLE001 - report and continue
-            failures += 1
-            click.echo(f"FAIL {name}: {exc}")
-        else:
-            click.echo(f"ok   {name}")
-    click.echo(f"{len(_CHECKS) - failures}/{len(_CHECKS)} checks passed")
-    return 0 if failures == 0 else 1
-
-
-def run_round_demo(out_dir: Path, draws: int = 20000) -> int:
-    rng = derive_rng(2024, "round-demo")
-    T0 = rng.random(30)
-    T0 *= 8.0 / T0.sum()
-    T0 = np.clip(T0, 0.0, 1.0)
-    picks = quantile.round_offsets(T0, rng.random(draws))
-    freq = picks.mean(axis=0)
-    _write_csv(out_dir / "round_demo.csv", ("item", "t0", "frequency"),
-               [(j, T0[j], freq[j]) for j in range(T0.size)])
-    worst = float(np.abs(freq - T0).max())
-    click.echo(f"rounded {draws} draws; max |frequency - target| = {worst:.4g}")
-    click.echo(f"max cardinality = {int(picks.sum(axis=1).max())}, "
-               f"bound = {math.ceil(T0.sum())}")
+            seed = int(env_seed)
+        except ValueError:
+            raise ConfigError(
+                f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
+        cfg = replace(cfg, seed=seed)
+    if spec.rho_scale is not None:
+        cfg = replace(cfg, rho_scale=spec.rho_scale)
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    if spec.mode == "run":
+        grid = [cfg.k]
+    else:
+        grid = sorted({min(cfg.k * 2 ** i, cfg.m) for i in range(3)})
+    all_results = []
+    summary_rows = []
+    for k in grid:
+        results = _run_trials(replace(cfg, k=k), spec.trials, spec.jobs)
+        all_results.extend(results)
+        summary_rows.append(_summary_row(k, results))
+    _write_csv(spec.out_dir / "results.csv", RESULT_COLUMNS,
+               [_result_row(r) for r in all_results])
+    _write_csv(spec.out_dir / "summary.csv", _SUMMARY_HEADER, summary_rows)
+    bad = sum(not r.solver_converged for r in all_results)
+    if bad and not spec.allow_nonconverged:
+        click.echo(f"{bad}/{len(all_results)} trials did not converge", err=True)
+        return 2
     return 0
 
 
-@click.command()
+class _Command(click.Command):
+    """A bad flag is malformed input like any other: one `error:` line and
+    exit code 1, not click's usage text and its exit code 2."""
+
+    def parse_args(self, ctx, args):
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:
+            click.echo(f"error: {exc.format_message()}", err=True)
+            ctx.exit(1)
+
+
+@click.command(cls=_Command)
 @click.option("--config", "config_path", type=click.Path(path_type=Path),
               default=None, help="Experiment configuration file.")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path),
@@ -433,7 +259,7 @@ def run_round_demo(out_dir: Path, draws: int = 20000) -> int:
               help="Output directory for CSV files.")
 @click.option("--trials", default=1, show_default=True, help="Trials per grid point.")
 @click.option("--jobs", default=1, show_default=True, help="Worker processes.")
-@click.option("--mode", type=click.Choice(["run", "sweep", "check", "round-demo"]),
+@click.option("--mode", type=click.Choice(["run", "sweep"]),
               default="run", show_default=True)
 @click.option("--allow-nonconverged", is_flag=True,
               help="Exit 0 even when some solves hit the iteration limit.")

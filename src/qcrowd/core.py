@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
@@ -38,6 +38,18 @@ def derive_rng(seed: int, stream_label: str) -> np.random.Generator:
     words = [int.from_bytes(digest[i:i + 8], "little") for i in range(0, 32, 8)]
     entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF, *words]
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+# annotation -> type of a settable scalar field; annotations stay strings
+# (postponed evaluation), so reading them resolves no type hint
+_SCALAR_TYPES = {"int": int, "float": float, "Optional[float]": float}
+
+
+def scalar_fields(cls) -> dict:
+    """{name: int or float} for the init fields of dataclass cls annotated
+    int, float or Optional[float], in field order."""
+    return {f.name: _SCALAR_TYPES[f.type] for f in fields(cls)
+            if f.init and f.type in _SCALAR_TYPES}
 
 
 @dataclass(frozen=True)
@@ -149,17 +161,25 @@ class ExperimentConfig:
         rho = (2.0 / (self.alpha * self.epsilon)) * math.sqrt(
             self.alpha * self.beta * self.n * self.m
         ) * self.rho_scale
-        # derived values come from the values as given, then every field is
-        # normalized to a builtin int or float; results.csv bytes rely on both
-        for name, kind in (("n", int), ("m", int), ("alpha", float),
-                           ("beta", float), ("epsilon", float),
-                           ("delta", float), ("k", int), ("k0", int),
-                           ("L", float), ("epsilon0", float), ("seed", int),
-                           ("rho_scale", float)):
+        # derived values come from the values as given, then every scalar
+        # field is normalized to a builtin int or float; results.csv bytes
+        # rely on both
+        for name, kind in CONFIG_KEYS.items():
             object.__setattr__(self, name, kind(getattr(self, name)))
         object.__setattr__(self, "alpha_n", alpha_n)
         object.__setattr__(self, "beta_m", beta_m)
         object.__setattr__(self, "rho", rho)
+
+
+# The config-text schema. Each scalar field of ExperimentConfig is a key of
+# its own name and each of SolverSettings a key under "solver."; the fields
+# without a default are required. noise, truth, adversary and solver are not
+# scalar fields, so none of them is such a key.
+CONFIG_KEYS = scalar_fields(ExperimentConfig)
+SOLVER_KEYS = scalar_fields(SolverSettings)
+REQUIRED_KEYS = tuple(f.name for f in fields(ExperimentConfig)
+                      if f.init and f.default is MISSING
+                      and f.default_factory is MISSING)
 
 
 def top_indices(values: np.ndarray, count: int) -> np.ndarray:
@@ -182,7 +202,7 @@ class GroundTruth:
             raise ValueError("r_star and t_star must be vectors of equal length")
         if not ((r >= 0.0) & (r <= 1.0)).all():
             raise ValueError("r_star entries must lie in [0, 1]")
-        if not np.isin(t, (0, 1)).all():
+        if not ((t == 0) | (t == 1)).all():
             raise ValueError("t_star must be binary")
         object.__setattr__(self, "r_star", r)
         object.__setattr__(self, "t_star", t.astype(np.int8))
@@ -300,7 +320,7 @@ class SelectionSet:
 
     def __post_init__(self):
         t = np.asarray(self.t)
-        if t.ndim != 1 or not np.isin(t, (0, 1)).all():
+        if t.ndim != 1 or not ((t == 0) | (t == 1)).all():
             raise ValueError("selection must be a binary vector")
         object.__setattr__(self, "t", t.astype(np.int8))
 

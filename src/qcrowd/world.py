@@ -200,19 +200,19 @@ def _group_of(ordinal: np.ndarray, group_size: int, n_total: int) -> np.ndarray:
 
 
 def adversary_fill(strategy: AdversaryStrategy, plan, reliable_values: np.ndarray,
-                   reliable_set: np.ndarray, ground_truth: GroundTruth,
+                   adv_rows: np.ndarray, ground_truth: GroundTruth,
                    rng: np.random.Generator) -> np.ndarray:
     """Values the adversarial raters submit on their assigned cells.
 
     Called after all reliable ratings are realized: reliable_values holds
     the realized reliable rows (zeros where unrated), so strategies may adapt
-    to them and to the full assignment plan. Returns one row per rater not in
-    reliable_set, in rater-index order, already zeroed outside the plan mask.
+    to them and to the full assignment plan. adv_rows are the indices of the
+    raters not in the reliable set, ascending. Returns one row per rater in
+    adv_rows, in that order, already zeroed outside the plan mask.
     """
     n = plan.mask.shape[0]
     m = ground_truth.m
-    reliable_set = np.asarray(reliable_set, dtype=int)
-    adv_rows = np.setdiff1d(np.arange(n), reliable_set)
+    adv_rows = np.asarray(adv_rows, dtype=int)
     n_adv = adv_rows.size
     values = np.zeros((n_adv, m))
     if n_adv == 0:
@@ -221,7 +221,7 @@ def adversary_fill(strategy: AdversaryStrategy, plan, reliable_values: np.ndarra
     r_star = ground_truth.r_star
     t_star = ground_truth.t_star
     beta_m = int(t_star.sum())
-    alpha_n = reliable_set.size
+    alpha_n = reliable_values.shape[0]
     ordinal = np.arange(n_adv)
 
     if isinstance(strategy, RandomSpam):
@@ -257,7 +257,7 @@ def adversary_fill(strategy: AdversaryStrategy, plan, reliable_values: np.ndarra
             values[np.ix_(rows, halves[b])] = 1.0
     elif isinstance(strategy, MirroredCopy):
         perm = derive_rng(strategy.perm_seed, "mirror-perm").permutation(m)
-        src = ordinal % reliable_values.shape[0]
+        src = ordinal % alpha_n
         values = reliable_values[src][:, perm]
     else:
         raise StrategyError(f"unknown adversary strategy: {strategy!r}")

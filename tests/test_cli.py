@@ -1,26 +1,21 @@
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-import qcrowd
 from qcrowd import ConfigError, DenseHalfPositive, ExperimentConfig, SymmetricBlocks
+from qcrowd import cli
 from qcrowd.cli import (
     RESULT_COLUMNS,
     ParseError,
     RunSpec,
-    _FLOAT_KEYS,
-    _INT_KEYS,
-    _SOLVER_KEYS,
     main,
     parse_config,
     run_experiment,
 )
+from qcrowd.core import CONFIG_KEYS, SOLVER_KEYS
 
 GOOD_CONFIG = """\
 # toy problem at documented scale
@@ -54,7 +49,8 @@ class TestParseConfig:
         assert cfg.solver.max_iters == 250
 
     def test_empty_file_lists_missing_keys(self):
-        with pytest.raises(ConfigError, match="missing required keys"):
+        with pytest.raises(ConfigError, match="missing required keys: n, m, "
+                           "alpha, beta, epsilon, delta, k, k0$"):
             parse_config("")
         with pytest.raises(ConfigError, match="n, m"):
             parse_config("# nothing here\n")
@@ -244,6 +240,28 @@ class TestRunMode:
                           trials=1, allow_nonconverged=True)
         assert run_experiment(spec_ok) == 0
 
+    def test_pool_never_larger_than_the_trial_count(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        cfg = parse_config(GOOD_CONFIG)
+        assert len(cli._run_trials(cfg, 3, 64)) == 3
+        assert len(cli._run_trials(cfg, 1, 4)) == 1  # one trial: no pool
+        assert sizes == [3]
+
     def test_missing_config_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="--config is required"):
             run_experiment(RunSpec(mode="run", config_path=None,
@@ -262,40 +280,6 @@ class TestSweepMode:
         assert ks == [6, 12]  # doubling grid capped at m, deduplicated
         results = (out / "results.csv").read_text().splitlines()
         assert len(results) == 1 + 2 * len(ks)
-
-
-class TestOtherModes:
-    def test_check_mode_passes(self, capsys):
-        spec = RunSpec(mode="check", config_path=None, out_dir=Path("unused"))
-        assert run_experiment(spec) == 0
-        out = capsys.readouterr().out
-        assert "checks passed" in out
-        assert "FAIL" not in out
-
-    def test_check_mode_fails_under_optimize_flag(self):
-        # top_indices reversed must fail the battery even when python -O
-        # strips assert statements
-        script = (
-            "import sys, numpy as np\n"
-            "from qcrowd import cli, core\n"
-            "core.top_indices = lambda values, count: "
-            "np.argsort(values, kind='stable')[:count]\n"
-            "sys.argv = ['qcrowd', '--mode', 'check']\n"
-            "cli.main()\n")
-        src = str(Path(qcrowd.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-O", "-c", script],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src})
-        assert proc.returncode == 1, proc.stdout + proc.stderr
-        assert "FAIL ground truth" in proc.stdout
-
-    def test_round_demo_writes_csv(self, tmp_path):
-        spec = RunSpec(mode="round-demo", config_path=None,
-                       out_dir=tmp_path / "demo")
-        assert run_experiment(spec) == 0
-        lines = (tmp_path / "demo" / "round_demo.csv").read_text().splitlines()
-        assert lines[0] == "item,t0,frequency"
-        assert len(lines) > 1
 
 
 class TestMainCommand:
@@ -369,6 +353,12 @@ class TestMainCommand:
                        "n * m is too large", id=f"n=m={label}")
           for v, label in ((10**10, "1e10"), (10**200, "1e200"))),
         pytest.param("# toy", "# \xff toy", [], {}, "utf-8", id="not-utf8"),
+        *(pytest.param("", "", [flag, "x"], {}, f"'{flag}'", id=f"{flag}=x")
+          for flag in ("--trials", "--jobs", "--rho-scale", "--mode")),
+        pytest.param("", "", ["--mode", "check"], {}, "'check'",
+                     id="--mode=check"),
+        pytest.param("", "", ["--bogus"], {}, "No such option",
+                     id="unknown-option"),
     ])
     def test_malformed_input_gives_one_error_line(self, tmp_path, old, new,
                                                   args, env, names):
@@ -392,6 +382,11 @@ def test_readme_config_block_names_every_key():
     parse_config(block)
     named = {line.split("#")[0].partition("=")[0].strip()
              for line in block.splitlines()}
-    accepted = (_INT_KEYS | _FLOAT_KEYS | {"adversary"}
-                | {f"solver.{key}" for key in _SOLVER_KEYS})
+    accepted = ({*CONFIG_KEYS, "adversary"}
+                | {f"solver.{key}" for key in SOLVER_KEYS})
+    # a field added to ExperimentConfig or SolverSettings changes this set
+    assert accepted == {
+        "n", "m", "alpha", "beta", "epsilon", "delta", "k", "k0", "L",
+        "epsilon0", "seed", "rho_scale", "adversary", "solver.max_iters",
+        "solver.eta0"}
     assert accepted <= named, sorted(accepted - named)

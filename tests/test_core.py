@@ -142,6 +142,10 @@ class TestGroundTruth:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             GroundTruth.from_ratings([0.5, 1.2], beta_m=1)
+        for bad in (2, np.nan):
+            with pytest.raises(ValueError, match="t_star must be binary"):
+                GroundTruth(r_star=np.array([0.5, 0.2]),
+                            t_star=np.array([bad, 0.0]))
 
     @pytest.mark.parametrize("bad", NON_FINITE, ids=NON_FINITE_IDS)
     def test_rejects_non_finite_rating(self, bad):
@@ -183,8 +187,9 @@ class TestRequesterRatings:
 
 class TestSelectionSet:
     def test_binary_enforced(self):
-        with pytest.raises(ValueError):
-            SelectionSet(np.array([0.5, 1.0]))
+        for bad in (0.5, np.nan):
+            with pytest.raises(ValueError, match="selection must be a binary"):
+                SelectionSet(np.array([bad, 1.0]))
 
     def test_size_and_indices(self):
         s = SelectionSet(np.array([1, 0, 1, 0]))

@@ -302,6 +302,7 @@ class TestNuclearProjection:
     @example((np.array([[1e-300, 0.0]]), 0.5))  # ||M||_F underflows to 0
     @example((np.array([[8.52299733e-158]]), 0.03125))  # c * t would be subnormal
     @example((np.outer([1.0, 2.0, 3.0], [1.0, -1.0]), 1 - 1e-12))
+    @example((np.random.default_rng(3).standard_normal((6, 15)), 0.5))  # wide
     def test_matches_svd_oracle(self, case):
         M, frac = case
         nuc = float(np.linalg.svd(M, compute_uv=False).sum())

@@ -198,11 +198,10 @@ class TestSymmetricBlocks:
         block = 2
         eps = 0.25
         gt = _descending_gt(m, block, lo=1 - eps)
-        reliable = np.arange(block)
         plan = full_plan(n, m)
         fill = adversary_fill(SymmetricBlocks(block_low=1 - eps), plan,
-                              np.tile(gt.r_star, (block, 1)), reliable, gt,
-                              derive_rng(0, "adv"))
+                              np.tile(gt.r_star, (block, 1)),
+                              np.arange(block, n), gt, derive_rng(0, "adv"))
         reliable_rows = np.where(gt.t_star[None, :] == 1, 1.0, 1 - eps)
         A = np.vstack([np.tile(reliable_rows, (block, 1)), fill])
         for rb in range(4):
@@ -214,10 +213,9 @@ class TestSymmetricBlocks:
     def test_invariant_under_simultaneous_block_permutation(self):
         n = m = 8
         gt = _descending_gt(m, 2)
-        reliable = np.arange(2)
         plan = full_plan(n, m)
         fill = adversary_fill(SymmetricBlocks(block_low=0.75), plan,
-                              np.tile(gt.r_star, (2, 1)), reliable, gt,
+                              np.tile(gt.r_star, (2, 1)), np.arange(2, n), gt,
                               derive_rng(0, "adv"))
         reliable_rows = np.where(gt.t_star[None, :] == 1, 1.0, 0.75)
         A = np.vstack([np.tile(reliable_rows, (2, 1)), fill])
@@ -229,10 +227,9 @@ class TestSymmetricBlocks:
     def test_remainder_raters_join_last_block(self):
         n, m = 10, 12
         gt = _descending_gt(m, 2)
-        reliable = np.arange(3)
         plan = full_plan(n, m)
         fill = adversary_fill(SymmetricBlocks(block_low=0.5), plan,
-                              np.tile(gt.r_star, (3, 1)), reliable, gt,
+                              np.tile(gt.r_star, (3, 1)), np.arange(3, n), gt,
                               derive_rng(0, "adv"))
         # 7 adversaries in groups of 3: [0,1,2], [3,4,5], remainder 6 joins last
         assert np.array_equal(fill[6], fill[5])
@@ -257,7 +254,8 @@ class TestSymmetricBlocks:
         plan = AssignmentPlan(mask=mask, pruned_rows=0, pruned_cols=0)
         strategy = SymmetricBlocks(block_low=0.6)
         fill = adversary_fill(strategy, plan, np.zeros((alpha_n, m)),
-                              reliable, gt, derive_rng(0, "adv"))
+                              np.setdiff1d(np.arange(n), reliable), gt,
+                              derive_rng(0, "adv"))
         assert np.array_equal(
             fill, symmetric_blocks_oracle(strategy, plan, reliable, gt))
 
@@ -279,18 +277,17 @@ class TestDenseHalfPositive:
     def test_reproduces_documented_spam_pattern(self):
         n, m = 10, 12
         gt = _descending_gt(m, 2, lo=0.0)
-        reliable = np.arange(4)  # alpha = 2/5
+        # four reliable raters, alpha = 2/5
         fill = adversary_fill(DenseHalfPositive(halves=PAPER_HALVES),
                               full_plan(n, m), np.tile(gt.r_star, (4, 1)),
-                              reliable, gt, derive_rng(0, "adv"))
+                              np.arange(4, n), gt, derive_rng(0, "adv"))
         assert np.array_equal(fill, PAPER_BAD_ROWS)
 
     def test_default_block_size_and_shared_halves(self):
         n, m = 10, 12
         gt = _descending_gt(m, 2, lo=0.0)
-        reliable = np.arange(4)
         fill = adversary_fill(DenseHalfPositive(), full_plan(n, m),
-                              np.tile(gt.r_star, (4, 1)), reliable, gt,
+                              np.tile(gt.r_star, (4, 1)), np.arange(4, n), gt,
                               derive_rng(1, "adv"))
         # derived block size 3 * alpha * beta * n = 2: three blocks of two
         for b in range(3):
@@ -303,7 +300,7 @@ class TestDenseHalfPositive:
         with pytest.raises(StrategyError, match="halves"):
             adversary_fill(DenseHalfPositive(halves=((0, 1),)),
                            full_plan(10, 12), np.tile(gt.r_star, (4, 1)),
-                           np.arange(4), gt, derive_rng(0, "adv"))
+                           np.arange(4, 10), gt, derive_rng(0, "adv"))
 
 
 class TestStrategyParameters:
@@ -332,14 +329,14 @@ class TestSimpleStrategies:
     def test_anti_correlated(self):
         gt = _descending_gt(6, 2)
         fill = adversary_fill(AntiCorrelated(), full_plan(4, 6),
-                              np.tile(gt.r_star, (2, 1)), np.arange(2), gt,
+                              np.tile(gt.r_star, (2, 1)), np.arange(2, 4), gt,
                               derive_rng(0, "adv"))
         assert np.allclose(fill, 1.0 - gt.r_star[None, :])
 
     def test_random_spam_mean(self):
         gt = _descending_gt(2000, 100, lo=0.3)
         fill = adversary_fill(RandomSpam(p_high=0.3), full_plan(4, 2000),
-                              np.tile(gt.r_star, (2, 1)), np.arange(2), gt,
+                              np.tile(gt.r_star, (2, 1)), np.arange(2, 4), gt,
                               derive_rng(0, "adv"))
         assert set(np.unique(fill)) <= {0.0, 1.0}
         sigma = np.sqrt(0.3 * 0.7 / fill.size)
@@ -351,7 +348,7 @@ class TestSimpleStrategies:
         mask[:, :3] = 1
         plan = AssignmentPlan(mask=mask, pruned_rows=0, pruned_cols=0)
         fill = adversary_fill(AntiCorrelated(), plan,
-                              np.tile(gt.r_star, (2, 1)), np.arange(2), gt,
+                              np.tile(gt.r_star, (2, 1)), np.arange(2, 4), gt,
                               derive_rng(0, "adv"))
         assert np.all(fill[:, 3:] == 0.0)
 
