@@ -154,13 +154,19 @@ def project_nuclear_ball(M: np.ndarray, rho: float) -> np.ndarray:
     M.T when M is wide, divided by the power of two c just above its largest
     absolute entry, so that its Gram matrix neither overflows nor
     underflows. The eigenvectors V of the smaller Gram matrix Y.T @ Y are
-    Y's right singular vectors, and c times the column norms of W = Y @ V
-    are M's singular values s. These norms stay accurate where the square
+    Y's right singular vectors, and the column norms s of W = Y @ V are M's
+    singular values divided by c. These norms stay accurate where the square
     root of a small Gram eigenvalue does not (its absolute error is about
-    sqrt(eps) * s_max). The singular values are projected onto the l1 ball
-    (sorted-threshold rule) to t, and only the kept components are rebuilt,
-    as c * (W_r * (t_r / s_r)) @ V_r.T; every kept s_r exceeds the shift, so
-    the division is safe.
+    sqrt(eps) * s_max). In these units s is projected onto the l1 ball of
+    radius (rho - slack) / c (sorted-threshold rule) to t, and only the kept
+    components are rebuilt, as c * ((W_r * (t_r / s_r)) @ V_r.T); every kept
+    s_r exceeds the shift, so the division is safe. Scaling by c is exact
+    unless an entry lands among the subnormals, where it is rounded by at
+    most 2**-1075, which moves the nuclear norm by at most n * m * 2**-1075.
+    slack = n * m * 2**-1074 is twice that, so the result's singular values,
+    rounded to subnormals in turn, also sum to at most rho; rho - slack
+    equals rho for any rho above about 1e-300. When slack >= rho the zero
+    matrix is returned.
 
     Raises ValueError for rho <= 0 or for a NaN or infinite entry (checked
     once the cheap inside-the-ball certificate has failed), and SvdFailure
@@ -184,13 +190,17 @@ def project_nuclear_ball(M: np.ndarray, rho: float) -> np.ndarray:
     W = Y @ V
     norms = np.sqrt(np.einsum("ij,ij->j", W, W))
     order = np.argsort(-norms, kind="stable")
-    s = c * norms[order]
-    if float(s.sum()) <= rho:
+    s = norms[order]
+    if float(s.sum()) <= rho / c:
         return M
-    t = _simplex_threshold(s, rho)
+    radius = rho - M.size * 2.0 ** -1074
+    if radius <= 0.0:
+        return np.zeros_like(M)
+    t = _simplex_threshold(s, radius / c)
     r = np.count_nonzero(t)
     kept = order[:r]
-    P = (W[:, kept] * (t[:r] / s[:r] * c)) @ V[:, kept].T
+    P = (W[:, kept] * (t[:r] / s[:r])) @ V[:, kept].T
+    P *= c
     return P.T if wide else P
 
 

@@ -303,6 +303,7 @@ class TestNuclearProjection:
     @example((np.array([[8.52299733e-158]]), 0.03125))  # c * t would be subnormal
     @example((np.outer([1.0, 2.0, 3.0], [1.0, -1.0]), 1 - 1e-12))
     @example((np.random.default_rng(3).standard_normal((6, 15)), 0.5))  # wide
+    @example((np.full((2, 1), 2e-323), 0.25))  # result entries subnormal
     def test_matches_svd_oracle(self, case):
         M, frac = case
         nuc = float(np.linalg.svd(M, compute_uv=False).sum())
