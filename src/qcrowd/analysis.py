@@ -73,11 +73,32 @@ def denoised_matrix(world: WorldModel, observed: ObservedRatings,
 
 
 def operator_norm(M: np.ndarray) -> float:
-    """Largest singular value of M (LAPACK); 0.0 for an empty matrix."""
+    """Largest singular value of M; 0.0 for an empty or all-zero matrix.
+
+    Y is M divided by the power of two c just above its largest absolute
+    entry, an exact scaling under which the Gram matrix neither overflows
+    nor underflows, even when c itself is past the largest float. sigma_1 is c times the square root of the largest
+    eigenvalue of the smaller Gram matrix (Y @ Y.T when M has no more rows
+    than columns, else Y.T @ Y). The largest eigenvalue is well conditioned,
+    so this agrees with the SVD's sigma_1 to rounding.
+
+    Raises ValueError unless M is two-dimensional with finite entries.
+    """
     M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise ValueError(f"operator norm needs a 2-D matrix, got ndim {M.ndim}")
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    c = float(np.abs(M).max())
+    if not math.isfinite(c):
+        raise ValueError("operator norm of a matrix with a NaN or infinite entry")
+    if c == 0.0:
+        return 0.0
+    e = math.frexp(c)[1]
+    Y = np.ldexp(M, -e)  # divided by c = 2**e, exactly
+    G = Y @ Y.T if M.shape[0] <= M.shape[1] else Y.T @ Y
+    with np.errstate(over="ignore"):  # sigma_1 may exceed the largest float
+        return float(np.ldexp(math.sqrt(float(np.linalg.eigvalsh(G)[-1])), e))
 
 
 def deviations(M: np.ndarray, r_tilde: np.ndarray, r_star: np.ndarray,

@@ -8,7 +8,6 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -177,6 +176,8 @@ def _run_trials(cfg: ExperimentConfig, trials: int, jobs: int) -> list:
     seeds = [cfg.seed + t for t in range(trials)]
     workers = min(jobs, trials)  # a worker beyond the trial count idles
     if workers > 1:
+        # imported here so that a one-process run never loads the pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_trial, [cfg] * trials, seeds))
     return [run_trial(cfg, seed) for seed in seeds]

@@ -271,11 +271,13 @@ def _face_point(A: np.ndarray, cap: int, x0: float) -> np.ndarray:
     equal and stay equal. <A, face point> is the row program's optimum.
     """
     m = A.shape[1]
-    tau = np.maximum(np.partition(A, m - cap, axis=1)[:, m - cap], 0.0)[:, None]
+    # a full sort, not np.partition: introselect takes its slow path on rows
+    # with few distinct values, as rows of ratings are
+    tau = np.maximum(np.sort(A, axis=1)[:, m - cap], 0.0)[:, None]
     above = A > tau
     ties = A == tau
-    share = (cap - above.sum(axis=1, keepdims=True)) / np.maximum(
-        ties.sum(axis=1, keepdims=True), 1)
+    share = (cap - np.count_nonzero(above, axis=1, keepdims=True)) / np.maximum(
+        np.count_nonzero(ties, axis=1, keepdims=True), 1)
     share = np.where(tau > 0.0, share, np.minimum(x0, share))
     return np.where(above, 1.0, np.where(ties, share, 0.0))
 

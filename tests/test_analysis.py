@@ -5,6 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qcrowd import (
     ConfigError,
@@ -122,6 +123,19 @@ class TestDenoisedMatrix:
         assert np.all(np.abs(mean - expect) <= 4 * sigma)
 
 
+@st.composite
+def _opnorm_inputs(draw):
+    """Tall, wide and square matrices up to 12 x 40, some of them of lower
+    rank than their shape allows (a product of thin factors)."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.standard_normal((n, m))
+    r = draw(st.integers(0, min(n, m)))
+    return rng.standard_normal((n, r)) @ rng.standard_normal((r, m))
+
+
 class TestOperatorNorm:
     def test_identity(self):
         assert operator_norm(np.eye(5)) == pytest.approx(1.0, abs=1e-9)
@@ -134,14 +148,38 @@ class TestOperatorNorm:
         want = np.linalg.norm(u) * np.linalg.norm(v)
         assert operator_norm(M) == pytest.approx(want, rel=1e-9)
 
-    def test_matches_full_svd(self):
-        rng = np.random.default_rng(5)
-        M = rng.standard_normal((50, 80))
+    @settings(max_examples=200, deadline=None)
+    @given(_opnorm_inputs())
+    @example(np.zeros((3, 4)))
+    @example(np.outer([1.0, -2.0, 3.0], [0.5, 0.0, 1.5, -1.0]) * 2.0 ** 600)
+    @example(np.outer([1.0, -2.0, 3.0], [0.5, 0.0, 1.5, -1.0]) * 2.0 ** -600)
+    @example(np.array([[3e-320, -1e-321, 0.0], [5e-324, 2e-320, 7e-321]]))
+    @example(np.array([[1e300, 1e-300], [2e-300, -1e300], [0.0, 1e299]]))
+    @example(np.array([[1.7e308, 1.0]]))  # c = 2**1024 is not a float
+    def test_matches_full_svd(self, M):
         want = np.linalg.svd(M, compute_uv=False)[0]
         assert operator_norm(M) == pytest.approx(want, rel=1e-12)
 
     def test_zero_matrix(self):
         assert operator_norm(np.zeros((3, 4))) == 0.0
+
+    def test_overflows_to_inf(self):
+        assert operator_norm(np.full((2, 2), 1.7e308)) == math.inf
+
+    def test_empty_matrix(self):
+        assert operator_norm(np.zeros((0, 4))) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        M = np.ones((3, 4))
+        M[1, 2] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            operator_norm(M)
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4)])
+    def test_rejects_non_matrix(self, shape):
+        with pytest.raises(ValueError, match="2-D matrix"):
+            operator_norm(np.ones(shape))
 
 
 class TestMaxSetDeviation:

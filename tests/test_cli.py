@@ -1,4 +1,8 @@
+import concurrent.futures
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -256,11 +260,18 @@ class TestRunMode:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        # _run_trials imports the pool class from concurrent.futures on use
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         cfg = parse_config(GOOD_CONFIG)
         assert len(cli._run_trials(cfg, 3, 64)) == 3
         assert len(cli._run_trials(cfg, 1, 4)) == 1  # one trial: no pool
         assert sizes == [3]
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        code = ("import sys, qcrowd.cli; "
+                "sys.exit('concurrent.futures.process' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_missing_config_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="--config is required"):

@@ -425,6 +425,23 @@ def long_ascent(A, cap, x0, max_steps=5000):
     raise AssertionError("ascent did not settle")
 
 
+def partition_face_point(A, cap, x0):
+    """_face_point as first written, with tau read from np.partition."""
+    m = A.shape[1]
+    tau = np.maximum(np.partition(A, m - cap, axis=1)[:, m - cap], 0.0)[:, None]
+    above = A > tau
+    ties = A == tau
+    share = (cap - above.sum(axis=1, keepdims=True)) / np.maximum(
+        ties.sum(axis=1, keepdims=True), 1)
+    share = np.where(tau > 0.0, share, np.minimum(x0, share))
+    return np.where(above, 1.0, np.where(ties, share, 0.0))
+
+
+# shaped like the wide workload's ratings: 40 x 600, three values, cap m / 2
+_WIDE_RATINGS = np.random.default_rng(19).choice(
+    [0.0, 0.8, 1.0], size=(40, 600), p=[0.954, 0.011, 0.035])
+
+
 class TestFacePoint:
     def test_ties_share_the_leftover(self):
         A = np.array([[2.0, 1.0, 1.0, 1.0, -1.0],    # tau = 1 > 0
@@ -445,6 +462,15 @@ class TestFacePoint:
         assert np.all(L.sum(axis=1) <= cap * (1 + 1e-15))
         greedy = float(np.vdot(A, greedy_row_oracle(A, cap)))
         assert float(np.vdot(A, L)) == pytest.approx(greedy, rel=1e-15, abs=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_face_inputs())
+    @example((_WIDE_RATINGS, 300, 0.5))
+    @example((_WIDE_RATINGS, 300, 0.0))
+    def test_matches_the_partition_reference(self, case):
+        A, cap, x0 = case
+        assert np.array_equal(_face_point(A, cap, x0),
+                              partition_face_point(A, cap, x0))
 
     @settings(max_examples=150, deadline=None)
     @given(_face_inputs())
