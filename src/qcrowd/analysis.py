@@ -23,6 +23,7 @@ from .core import (
     SelectionSet,
     TOL_FEAS,
     TOL_NUC,
+    _scaled,
     derive_rng,
 )
 from .quantile import recover_quantile
@@ -75,27 +76,19 @@ def denoised_matrix(world: WorldModel, observed: ObservedRatings,
 def operator_norm(M: np.ndarray) -> float:
     """Largest singular value of M; 0.0 for an empty or all-zero matrix.
 
-    Y is M divided by the power of two c just above its largest absolute
-    entry, an exact scaling under which the Gram matrix neither overflows
-    nor underflows, even when c itself is past the largest float. sigma_1 is c times the square root of the largest
-    eigenvalue of the smaller Gram matrix (Y @ Y.T when M has no more rows
-    than columns, else Y.T @ Y). The largest eigenvalue is well conditioned,
-    so this agrees with the SVD's sigma_1 to rounding.
+    sigma_1 is 2**e times the square root of the largest eigenvalue of the
+    smaller Gram matrix of Y = M / 2**e (core._scaled): Y @ Y.T when M has
+    no more rows than columns, else Y.T @ Y. That eigenvalue is well
+    conditioned, so this agrees with the SVD's sigma_1 to rounding.
 
     Raises ValueError unless M is two-dimensional with finite entries.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"operator norm needs a 2-D matrix, got ndim {M.ndim}")
-    if M.size == 0:
+    Y, e = _scaled(M)
+    if not Y.any():
         return 0.0
-    c = float(np.abs(M).max())
-    if not math.isfinite(c):
-        raise ValueError("operator norm of a matrix with a NaN or infinite entry")
-    if c == 0.0:
-        return 0.0
-    e = math.frexp(c)[1]
-    Y = np.ldexp(M, -e)  # divided by c = 2**e, exactly
     G = Y @ Y.T if M.shape[0] <= M.shape[1] else Y.T @ Y
     with np.errstate(over="ignore"):  # sigma_1 may exceed the largest float
         return float(np.ldexp(math.sqrt(float(np.linalg.eigvalsh(G)[-1])), e))

@@ -295,21 +295,36 @@ def _frobenius_certifies(M: np.ndarray, bound: float) -> bool:
             and (fro > 1e-150 or not M.any()))
 
 
+def nuclear_excess(M: np.ndarray, rho: float) -> float:
+    """max((||M||_* - rho) / rho, 0), which is 0 exactly when ||M||_* <= rho;
+    0 without an SVD when the Frobenius certificate holds."""
+    if _frobenius_certifies(M, rho):
+        return 0.0
+    return max((float(np.linalg.svd(M, compute_uv=False).sum()) - rho) / rho, 0.0)
+
+
+def _scaled(M: np.ndarray):
+    """(Y, e): Y = M / 2**e for the power of two just above max|M| (e = 0
+    when M is empty or zero), so Y's Gram matrix neither overflows nor
+    underflows. Exact unless an entry of Y is subnormal, even when 2**e is
+    past the largest float. Raises ValueError for a NaN or infinite entry."""
+    c = float(np.abs(M).max(initial=0.0))
+    if not math.isfinite(c):
+        raise ValueError("matrix has a NaN or infinite entry")
+    e = math.frexp(c)[1]
+    return np.ldexp(M, -e), e
+
+
 def feasibility_residuals(M: np.ndarray, beta_m: int, rho: float) -> dict:
     """Constraint residuals of M: box (absolute), row-sum (absolute),
-    nuclear norm (relative to rho). All are 0 for a feasible matrix, and
-    all are inf when M has a NaN or infinite entry. The nuclear residual is
-    0 without an SVD when the Frobenius certificate holds."""
+    nuclear norm (nuclear_excess, relative to rho). All are 0 for a
+    feasible matrix, and all are inf when M has a NaN or infinite entry."""
     M = np.asarray(M, dtype=float)
     if not np.isfinite(M).all():
         return {"box": math.inf, "row": math.inf, "nuc": math.inf}
     box = max(0.0, float(np.max(-M, initial=0.0)), float(np.max(M - 1.0, initial=0.0)))
     row = max(0.0, float(np.max(M.sum(axis=1) - beta_m, initial=0.0)))
-    nuc = 0.0
-    if not _frobenius_certifies(M, rho):
-        nuclear = float(np.linalg.svd(M, compute_uv=False).sum())
-        nuc = max((nuclear - rho) / rho, 0.0)
-    return {"box": box, "row": row, "nuc": nuc}
+    return {"box": box, "row": row, "nuc": nuclear_excess(M, rho)}
 
 
 @dataclass(frozen=True)

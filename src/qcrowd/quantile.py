@@ -64,7 +64,7 @@ def round_offsets(T0: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     a boolean matrix of shape (len(offsets), m).
     """
     T0 = np.asarray(T0, dtype=float)
-    if np.any(T0 < 0.0) or np.any(T0 > 1.0):
+    if not ((T0 >= 0.0) & (T0 <= 1.0)).all():
         raise ValueError("entries to round must lie in [0, 1]")
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
     s = np.concatenate([[0.0], np.cumsum(T0)])

@@ -17,8 +17,11 @@ from .core import (
     ExperimentConfig,
     QuantileMatrix,
     SolverSettings,  # re-exported: qcrowd.solver.SolverSettings
+    TOL_NUC,
     _frobenius_certifies,
+    _scaled,
     feasibility_residuals,
+    nuclear_excess,
 )
 
 
@@ -124,19 +127,12 @@ def _simplex_threshold(s: np.ndarray, radius: float) -> np.ndarray:
     via the sorted-threshold rule."""
     css = np.cumsum(s)
     idx = np.arange(1, s.size + 1)
-    positive = s - (css - radius) / idx > 0
-    rank = int(np.max(np.flatnonzero(positive))) + 1
+    positive = np.flatnonzero(s - (css - radius) / idx > 0)
+    if positive.size == 0:  # radius is below the float spacing of s[0]
+        return np.concatenate(([radius], np.zeros(s.size - 1)))
+    rank = int(positive[-1]) + 1
     theta = (css[rank - 1] - radius) / rank
     return np.maximum(s - theta, 0.0)
-
-
-def nuclear_norm_within(M: np.ndarray, bound: float) -> bool:
-    """True when ||M||_* <= bound, certified cheaply when possible.
-
-    sqrt(rank) * ||M||_F upper-bounds the nuclear norm, which skips the SVD
-    for comfortably interior points.
-    """
-    return _frobenius_certifies(M, bound) or float(_svd(M).sum()) <= bound
 
 
 def _svd(M: np.ndarray) -> np.ndarray:
@@ -177,12 +173,8 @@ def project_nuclear_ball(M: np.ndarray, rho: float) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if _frobenius_certifies(M, rho):
         return M
-    c = float(np.abs(M).max())
-    if not math.isfinite(c):
-        raise ValueError("nuclear projection of a matrix with a NaN or infinite entry")
-    c = math.ldexp(1.0, math.frexp(c)[1])  # a power of two: exact scaling
     wide = M.shape[0] < M.shape[1]
-    Y = (M.T if wide else M) / c
+    Y, e = _scaled(M.T if wide else M)
     try:
         V = np.linalg.eigh(Y.T @ Y)[1]
     except np.linalg.LinAlgError as exc:
@@ -191,16 +183,15 @@ def project_nuclear_ball(M: np.ndarray, rho: float) -> np.ndarray:
     norms = np.sqrt(np.einsum("ij,ij->j", W, W))
     order = np.argsort(-norms, kind="stable")
     s = norms[order]
-    if float(s.sum()) <= rho / c:
+    if float(s.sum()) <= math.ldexp(rho, -e):
         return M
     radius = rho - M.size * 2.0 ** -1074
     if radius <= 0.0:
         return np.zeros_like(M)
-    t = _simplex_threshold(s, radius / c)
+    t = _simplex_threshold(s, math.ldexp(radius, -e))
     r = np.count_nonzero(t)
     kept = order[:r]
-    P = (W[:, kept] * (t[:r] / s[:r])) @ V[:, kept].T
-    P *= c
+    P = np.ldexp((W[:, kept] * (t[:r] / s[:r])) @ V[:, kept].T, e)
     return P.T if wide else P
 
 
@@ -282,15 +273,17 @@ def _face_point(A: np.ndarray, cap: int, x0: float) -> np.ndarray:
     return np.where(above, 1.0, np.where(ties, share, 0.0))
 
 
-def _polish(M: np.ndarray, cap: float, rho: float) -> np.ndarray:
-    """Make box and row-sum constraints exact, keeping the nuclear norm
-    within its declared relative slack."""
+def _polish(M: np.ndarray, cap: float, rho: float) -> Tuple[np.ndarray, dict]:
+    """Make box and row-sum constraints exact, keeping the nuclear residual
+    within TOL_NUC / 2; returns the matrix and its feasibility_residuals."""
     X = _project_rows(M, cap)
+    res = feasibility_residuals(X, cap, rho)
     for _ in range(50):
-        if nuclear_norm_within(X, rho * (1.0 + 5e-5)):
+        if res["nuc"] <= TOL_NUC / 2:
             break
         X = _project_rows(project_nuclear_ball(X, rho), cap)
-    return X
+        res = feasibility_residuals(X, cap, rho)
+    return X, res
 
 
 def solve_recover_M(ratings,
@@ -326,7 +319,7 @@ def _solve(ratings, cfg: ExperimentConfig,
     x0 = _start_value(n, m, cfg.beta, cap, rho)
     L = _face_point(A, cap, x0)
     bound = float(np.vdot(A, L))
-    if face_start and nuclear_norm_within(L, rho):
+    if face_start and nuclear_excess(L, rho) == 0.0:
         M = L
     else:
         M = np.full((n, m), x0)
@@ -356,8 +349,7 @@ def _solve(ratings, cfg: ExperimentConfig,
             converged = True
             break
 
-    final = _polish(best_M, cap, rho)
-    res = feasibility_residuals(final, cap, rho)
+    final, res = _polish(best_M, cap, rho)
     report = SolveReport(
         iterations=iterations,
         objective=float(np.vdot(A, final)),

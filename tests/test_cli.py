@@ -323,6 +323,14 @@ class TestMainCommand:
             "--trials", "1", "--rho-scale", "2.0", "--allow-nonconverged"])
         assert result.exit_code == 0
 
+    def test_radius_below_rounding_runs(self, tmp_path, config_file):
+        # rho is far below the float spacing of the top singular value
+        result = CliRunner().invoke(main, [
+            "--config", str(config_file), "--out", str(tmp_path / "o"),
+            "--trials", "1", "--rho-scale", "1e-22"])
+        assert result.exit_code == 0, result.output
+        assert "Traceback" not in result.output
+
     def test_invalid_trials_rejected(self, tmp_path, config_file):
         runner = CliRunner()
         result = runner.invoke(main, [

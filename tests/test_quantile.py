@@ -125,6 +125,11 @@ class TestRandomizedRound:
         with pytest.raises(ValueError):
             round_offsets(np.array([1.2]), np.array([0.5]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, 1.1])
+    def test_rejects_entry_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match="must lie in"):
+            round_offsets(np.array([bad, 0.5, 0.5]), np.array([0.3]))
+
 
 class TestAcceptLoop:
     def test_binary_average_accepts_immediately(self):

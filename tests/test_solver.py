@@ -304,6 +304,10 @@ class TestNuclearProjection:
     @example((np.outer([1.0, 2.0, 3.0], [1.0, -1.0]), 1 - 1e-12))
     @example((np.random.default_rng(3).standard_normal((6, 15)), 0.5))  # wide
     @example((np.full((2, 1), 2e-323), 0.25))  # result entries subnormal
+    @example((np.array([[1e308, 1.0]]), 1e-308))  # 2**e is past the largest float
+    # radius below the float spacing of s_1: the top component alone
+    @example((np.array([[1.0, 0.0], [0.0, 0.0]]), 1e-20))
+    @example((np.array([[3.0, 1.0], [1.0, 2.0]]), 2e-18))
     def test_matches_svd_oracle(self, case):
         M, frac = case
         nuc = float(np.linalg.svd(M, compute_uv=False).sum())
@@ -363,8 +367,8 @@ class TestDykstra:
         rng = np.random.default_rng(19)
         M = rng.standard_normal((8, 10)) * 4
         rho = 3.0
-        out = _polish(dykstra_project(M, 2.0, rho, max_sweeps=100), 2.0, rho)
-        res = feasibility_residuals(out, 2, rho)
+        out, res = _polish(dykstra_project(M, 2.0, rho, max_sweeps=100), 2.0, rho)
+        assert res == feasibility_residuals(out, 2, rho)
         assert res["box"] == 0.0
         assert res["row"] <= 1e-9
         assert res["nuc"] <= 1e-4
@@ -586,6 +590,33 @@ class TestSolveRecoverM:
         # from beta * ones the ascent takes more steps to the same point
         matrix, report = _solve(_observed(A), cfg, face_start=False)
         assert report.iterations > 1
+
+    def test_final_matrix_is_decomposed_once(self, monkeypatch):
+        # the ball binds (as in test_not_converged_carries_result), so the
+        # final matrix's nuclear norm needs an SVD, and the report reuses it
+        rng = np.random.default_rng(12)
+        cfg = make_config(n=6, m=8, beta=0.25, k=8, k0=8, rho_scale=0.05,
+                          solver=SolverSettings(max_iters=3))
+        svd = np.linalg.svd
+        seen = []
+
+        def recording_svd(a, *args, **kwargs):
+            seen.append(np.array(a, dtype=float))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        matrix, _ = solve_recover_M(_observed(rng.random((6, 8))), cfg)
+        assert sum(np.array_equal(a, matrix.M) for a in seen) == 1
+
+    @pytest.mark.parametrize("rho_scale", [1.0, 0.05], ids=["slack", "binding"])
+    def test_report_residuals_are_those_of_the_returned_matrix(self, rho_scale):
+        rng = np.random.default_rng(15)
+        cfg = make_config(n=6, m=8, beta=0.25, k=8, k0=8, rho_scale=rho_scale,
+                          solver=SolverSettings(max_iters=3))
+        matrix, report = solve_recover_M(_observed(rng.random((6, 8))), cfg)
+        res = feasibility_residuals(matrix.M, cfg.beta_m, cfg.rho)
+        assert (report.residual_box, report.residual_row,
+                report.residual_nuc) == (res["box"], res["row"], res["nuc"])
 
     def test_feasibility_residuals_within_declared_tolerances(self):
         rng = np.random.default_rng(13)
