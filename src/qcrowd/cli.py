@@ -8,6 +8,7 @@ import csv
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -28,6 +29,10 @@ from .core import (
 )
 
 SEED_ENV_VAR = "QCROWD_SEED"
+
+# Thread counts of the BLAS builds numpy may use; set by the user, they are
+# left alone.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 RESULT_COLUMNS = (
     "seed", "quality_gap", "solver_iters", "solver_obj", "feas_box",
@@ -172,13 +177,34 @@ def _result_row(r: analysis.TrialResult):
             r.accepted, r.opnorm)
 
 
+@contextmanager
+def _one_blas_thread_each():
+    """Set every BLAS thread count to 1 for the processes started inside,
+    unless the user has set one of them."""
+    if any(name in os.environ for name in BLAS_THREAD_VARS):
+        yield
+        return
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name in BLAS_THREAD_VARS:
+            os.environ.pop(name, None)
+
+
 def _run_trials(cfg: ExperimentConfig, trials: int, jobs: int) -> list:
     seeds = [cfg.seed + t for t in range(trials)]
     workers = min(jobs, trials)  # a worker beyond the trial count idles
     if workers > 1:
         # imported here so that a one-process run never loads the pool
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Workers are spawned, so that numpy loads in each of them after the
+        # thread count is set: several workers with a BLAS pool each
+        # oversubscribe the cores.
+        with _one_blas_thread_each(), ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
             return list(pool.map(run_trial, [cfg] * trials, seeds))
     return [run_trial(cfg, seed) for seed in seeds]
 

@@ -289,8 +289,15 @@ class QuantileMatrix:
 def _frobenius_certifies(M: np.ndarray, bound: float) -> bool:
     """True when sqrt(min(n, m)) * ||M||_F <= bound, which implies
     ||M||_* <= bound. A Frobenius norm at or below 1e-150 certifies only the
-    zero matrix, since the squares of entries that small underflow."""
-    fro = float(np.linalg.norm(M))
+    zero matrix, since the squares of entries that small underflow. When the
+    sum of squares overflows (entries above about 1e154), the norm is taken
+    of M / 2**e (see _scaled) and compared with bound / 2**e. A NaN or
+    infinite entry certifies no finite bound."""
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(M))
+    if fro == math.inf and np.isfinite(M).all():
+        Y, e = _scaled(M)
+        return math.sqrt(min(M.shape)) * float(np.linalg.norm(Y)) <= math.ldexp(bound, -e)
     return (math.sqrt(min(M.shape)) * fro <= bound
             and (fro > 1e-150 or not M.any()))
 

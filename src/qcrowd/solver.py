@@ -2,14 +2,17 @@
 
 Maximizes <A, M> over {0 <= M_ij <= 1, row sums <= beta_m, ||M||_* <= rho}
 by projected subgradient ascent, with Dykstra's alternating projections
-between the per-row capped box-simplex and the nuclear-norm ball.
+between the per-row capped box-simplex and the nuclear-norm ball. Dykstra's
+loop iterates on its nuclear correction q, which certifies from any start,
+so each step starts from the previous step's q and mixes the last
+ANDERSON_MEMORY sweeps (see dykstra_project).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +40,7 @@ class SvdFailure(RuntimeError):
 STOP_REL_OBJ = 1e-6
 STOP_WINDOW = 25
 DYKSTRA_SWEEPS = 30  # Dykstra sweeps per projected step
+ANDERSON_MEMORY = 3  # past Dykstra sweeps mixed into the next one's start
 
 
 @dataclass(frozen=True)
@@ -183,7 +187,11 @@ def project_nuclear_ball(M: np.ndarray, rho: float) -> np.ndarray:
     norms = np.sqrt(np.einsum("ij,ij->j", W, W))
     order = np.argsort(-norms, kind="stable")
     s = norms[order]
-    if float(s.sum()) <= math.ldexp(rho, -e):
+    try:
+        inside = float(s.sum()) <= math.ldexp(rho, -e)
+    except OverflowError:  # rho / c is past the largest float
+        inside = True
+    if inside:
         return M
     radius = rho - M.size * 2.0 ** -1074
     if radius <= 0.0:
@@ -195,38 +203,117 @@ def project_nuclear_ball(M: np.ndarray, rho: float) -> np.ndarray:
     return P.T if wide else P
 
 
-def dykstra_project(M: np.ndarray, cap: float, rho: float, max_sweeps: int,
-                    tol: float = 1e-9) -> np.ndarray:
-    """Approximate Euclidean projection onto the intersection of the per-row
-    capped box-simplex and the nuclear ball, by Dykstra's alternating
-    projections with correction terms.
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b> by einsum, whose sum does not depend on the BLAS thread count."""
+    return float(np.einsum("ij,ij->", a, b))
 
-    The corrections start at zero, so the first sweep is the row projection
-    y of M followed by the nuclear projection of y. When y already lies in
-    the ball, project_nuclear_ball returns y itself and the tol test (for
-    any tol >= 0) would end the loop on x equal to y, so y is returned after
-    that one sweep. Otherwise the corrections start at M - y and y - x,
-    their values after a sweep from zero, and the remaining sweeps run as
-    before; max_sweeps = 0 returns M.
+
+def dykstra_project(M: np.ndarray, cap: float, rho: float, max_sweeps: int,
+                    tol: float = 1e-9,
+                    q: Optional[np.ndarray] = None
+                    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Approximate Euclidean projection of M onto the intersection of the
+    per-row capped box-simplex and the nuclear ball; returns (x, q).
+
+    Dykstra's algorithm, run as a fixed-point iteration on its nuclear
+    correction q alone, since the row correction p = (M - q) - y is a
+    function of q. A sweep from q takes the row projection y of M - q and
+    the nuclear projection x of u = y + q; F(q) = u - x is plain Dykstra's
+    next q. The loop stops once ||x - y|| <= tol * (1 + ||x||). Since
+    x - y = q - F(q), this bounds the fixed-point residual, and at a fixed
+    point M - q - x lies in the row set's normal cone at x and q in the
+    ball's, which is the optimality condition of the projection. That holds
+    whatever q the loop started from, so the test certifies from any start:
+    q may be warm-started (the solver passes the previous step's
+    correction), and it may be extrapolated.
+
+    After each sweep the next q is Anderson-mixed (type II): F(q) minus the
+    combination of the last ANDERSON_MEMORY differences of F whose matching
+    differences of x - y best cancel the current x - y in least squares.
+    Dykstra is block coordinate descent on the dual
+    D(p, q) = ||M - p - q||^2 / 2 + h_rows(p) + h_ball(q), h the support
+    functions, so plain sweeps never raise D; after a sweep
+    D = ||x||^2 / 2 + <p, y> + <F(q), x>. A mixed start whose sweep raises
+    D beyond rounding is dropped, and the loop takes the plain step F from
+    the last kept sweep with an empty history. Inner products are taken by
+    einsum and combinations by explicit updates, not by BLAS, so the
+    iterates do not depend on the BLAS thread count. Mixing runs for
+    max_sweeps // 2 sweeps; if those end uncertified, the remaining sweeps
+    run plain Dykstra from the given q, and of the two uncertified ends the
+    one with the smaller ||x - y|| / (1 + ||x||) is returned. A budget of
+    2k sweeps thus certifies wherever k plain sweeps from that q do (up to
+    rounding).
+
+    Returns x, always a nuclear projection (so inside the ball), and its
+    F(q), the correction to pass as q next time. q=None stands for the zero
+    correction, on input and on output. From zero the first sweep is the
+    row projection y of M followed by the nuclear projection of y; when y
+    already lies in the ball, (y, None) is returned after that one sweep,
+    which is where the stop test (for any tol >= 0) would end the loop.
+    max_sweeps = 0 returns M and the given q.
     """
-    x = np.asarray(M, dtype=float)
-    if max_sweeps <= 0:
-        return x
-    y = _project_rows(x, cap)
-    z = project_nuclear_ball(y, rho)
-    if z is y:
-        return y
-    p = x - y
-    q = y - z
-    x = z
-    for _ in range(max_sweeps - 1):
-        if float(np.linalg.norm(x - y)) <= tol * (1.0 + float(np.linalg.norm(x))):
-            break
-        y = _project_rows(x + p, cap)
-        p = x + p - y
-        x = project_nuclear_ball(y + q, rho)
-        q = y + q - x
-    return x
+    half = max_sweeps // 2
+    first = _dykstra_sweeps(M, cap, rho, half, tol, q, mix=True)
+    if first[2]:
+        return first[:2]
+    second = _dykstra_sweeps(M, cap, rho, max_sweeps - half, tol, q, mix=False)
+    return (second if second[2] or second[3] <= first[3] else first)[:2]
+
+
+def _dykstra_sweeps(M, cap, rho, max_sweeps, tol, q, mix):
+    """The loop of dykstra_project, Anderson-mixed when mix is True; returns
+    (x, F(q), whether the stop test held, ||x - y|| / (1 + ||x||)); F(q)
+    is None while the loop has not left the zero start."""
+    Z = np.asarray(M, dtype=float)
+    x, f = Z, q
+    res = math.inf
+    g = None  # x - y of the last kept sweep
+    dual = math.inf
+    mixed = False  # whether q is an extrapolated start
+    dG, dF = [], []  # the latest differences of x - y and of F(q)
+    for _ in range(max_sweeps):
+        if q is None:
+            w = Z
+            y = u = _project_rows(Z, cap)
+        else:
+            w = Z - q
+            y = _project_rows(w, cap)
+            u = y + q
+        x_new = project_nuclear_ball(u, rho)
+        if x_new is y:  # zero start, and y lies in the ball
+            return y, None, True, 0.0
+        f_new = u - x_new
+        g_new = y - x_new
+        g_norm = float(np.linalg.norm(g_new))
+        x_norm = float(np.linalg.norm(x_new))
+        if g_norm <= tol * (1.0 + x_norm):
+            return x_new, f_new, True, g_norm / (1.0 + x_norm)
+        if not mix:
+            x, f, res = x_new, f_new, g_norm / (1.0 + x_norm)
+            q = f
+            continue
+        dual_new = 0.5 * _dot(x_new, x_new) + _dot(w - y, y) + _dot(f_new, x_new)
+        # 1e-12 relative is well above the rounding of the three sums
+        if mixed and dual_new > dual + 1e-12 * abs(dual):
+            q, mixed = f, False
+            dG.clear()
+            dF.clear()
+            continue
+        if g is not None:
+            dG.append(g_new - g)
+            dF.append(f_new - f)
+            if len(dG) > ANDERSON_MEMORY:
+                del dG[0], dF[0]
+        x, f, g, dual = x_new, f_new, g_new, dual_new
+        res = g_norm / (1.0 + x_norm)
+        q, mixed = f, bool(dG)
+        if mixed:
+            H = np.array([[_dot(a, b) for b in dG] for a in dG])
+            gamma = np.linalg.lstsq(H, np.array([_dot(a, g) for a in dG]))[0]
+            q = f.copy()
+            for c, d in zip(gamma, dF):
+                q -= c * d
+    return x, f, False, res
 
 
 def greedy_row_oracle(values: np.ndarray, cap: int) -> np.ndarray:
@@ -331,13 +418,14 @@ def _solve(ratings, cfg: ExperimentConfig,
 
     best_obj = -math.inf
     best_M = M
+    q = None  # Dykstra's nuclear correction, carried from step to step
     trace = []
     converged = False
     iterations = 0
     for t in range(1, settings.max_iters + 1):
         iterations = t
         eta = eta0 / math.sqrt(t)
-        M = dykstra_project(M + eta * A, cap, rho, DYKSTRA_SWEEPS)
+        M, q = dykstra_project(M + eta * A, cap, rho, DYKSTRA_SWEEPS, q=q)
         obj = float(np.vdot(A, M))
         if obj > best_obj:
             best_obj = obj

@@ -244,12 +244,17 @@ class TestRunMode:
                           trials=1, allow_nonconverged=True)
         assert run_experiment(spec_ok) == 0
 
-    def test_pool_never_larger_than_the_trial_count(self, monkeypatch):
-        sizes = []
+    @pytest.fixture
+    def inline_pools(self, monkeypatch):
+        """Replace the process pool by an inline one; yields the list of
+        (max_workers, start method, BLAS thread variables) of each pool
+        created."""
+        created = []
 
         class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+            def __init__(self, max_workers, mp_context=None):
+                created.append((max_workers, mp_context.get_start_method(),
+                                {v: os.environ.get(v) for v in cli.BLAS_THREAD_VARS}))
 
             def __enter__(self):
                 return self
@@ -262,10 +267,28 @@ class TestRunMode:
 
         # _run_trials imports the pool class from concurrent.futures on use
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        return created
+
+    def test_pool_never_larger_than_the_trial_count(self, inline_pools):
         cfg = parse_config(GOOD_CONFIG)
         assert len(cli._run_trials(cfg, 3, 64)) == 3
         assert len(cli._run_trials(cfg, 1, 4)) == 1  # one trial: no pool
-        assert sizes == [3]
+        assert [size for size, _, _ in inline_pools] == [3]
+
+    @pytest.mark.parametrize("preset", [None, "OPENBLAS_NUM_THREADS",
+                                        "OMP_NUM_THREADS"])
+    def test_spawned_workers_get_one_blas_thread_unless_set(self, monkeypatch,
+                                                            inline_pools, preset):
+        for var in cli.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        if preset:
+            monkeypatch.setenv(preset, "3")
+        cli._run_trials(parse_config(GOOD_CONFIG), 2, 2)
+        before = {v: "3" if v == preset else None for v in cli.BLAS_THREAD_VARS}
+        want = before if preset else dict.fromkeys(cli.BLAS_THREAD_VARS, "1")
+        assert inline_pools == [(2, "spawn", want)]
+        # restored once the pool is gone
+        assert {v: os.environ.get(v) for v in cli.BLAS_THREAD_VARS} == before
 
     def test_import_leaves_the_process_pool_unloaded(self):
         code = ("import sys, qcrowd.cli; "

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from qcrowd import (
     run_trial,
 )
 from qcrowd import analysis
-from qcrowd.core import round_half_up, top_indices
+from qcrowd.core import _frobenius_certifies, round_half_up, top_indices
 
 from conftest import make_config
 
@@ -241,6 +242,30 @@ class TestFeasibility:
         assert run_trial(cfg, 10).feasibility_ok
         monkeypatch.setattr(analysis, "TOL_FEAS", 1e-8)
         assert not run_trial(cfg, 10).feasibility_ok
+
+
+class TestFrobeniusCertificate:
+    @pytest.mark.parametrize("bound,want", [(1e301, True), (1.5e200, True),
+                                            (1.4e200, False)])
+    def test_entries_past_1e154_decide_without_overflow(self, bound, want):
+        M = np.array([[1e200, 1e200]])  # ||M||_F = 1.414e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _frobenius_certifies(M, bound) is want
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_certifies_nothing(self, bad):
+        assert not _frobenius_certifies(np.array([[1e200, bad]]), 1e308)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e150, 1e150, allow_nan=False), min_size=6,
+                    max_size=6),
+           st.floats(1e-300, 1e300))
+    def test_decision_unchanged_where_the_norm_is_finite(self, entries, bound):
+        M = np.array(entries).reshape(2, 3)
+        fro = float(np.linalg.norm(M))
+        want = np.sqrt(2) * fro <= bound and (fro > 1e-150 or not M.any())
+        assert _frobenius_certifies(M, bound) == want
 
 
 class TestTopIndices:

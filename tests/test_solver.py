@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import lru_cache
 
@@ -137,9 +138,10 @@ def _nuclear_inputs(draw):
 
 
 def zero_start_dykstra_oracle(M, cap, rho, max_sweeps, tol=1e-9):
-    """Dykstra's loop with both corrections starting at zero and the tol
-    test after every sweep, calling the solver's two projections by module
-    attribute so that a monkeypatched counter sees them."""
+    """Plain Dykstra: both corrections start at zero and the tol test runs
+    after every sweep. Returns (x, q, certified), calling the solver's two
+    projections by module attribute so that a monkeypatched counter sees
+    them."""
     x = np.asarray(M, dtype=float)
     p = np.zeros_like(x)
     q = np.zeros_like(x)
@@ -149,8 +151,61 @@ def zero_start_dykstra_oracle(M, cap, rho, max_sweeps, tol=1e-9):
         x = solver.project_nuclear_ball(y + q, rho)
         q = y + q - x
         if float(np.linalg.norm(x - y)) <= tol * (1.0 + float(np.linalg.norm(x))):
-            break
-    return x
+            return x, q, True
+    return x, q, False
+
+
+@contextmanager
+def counted_projections():
+    """Count the calls of the solver's two projections, and keep the last
+    row projection y, nuclear projection input u and output x, for the
+    duration."""
+    calls = Counter()
+    last = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, key in (("_project_rows", "y"), ("project_nuclear_ball", "x")):
+            def counted(*args, _f=getattr(solver, name), _name=name, _key=key):
+                calls[_name] += 1
+                if _key == "x":
+                    last["u"] = args[0]
+                last[_key] = _f(*args)
+                return last[_key]
+            mp.setattr(solver, name, counted)
+        yield calls, last
+
+
+def certified(last, tol):
+    """Whether the last sweep passes dykstra_project's stop test."""
+    x, y = last["x"], last["y"]
+    return float(np.linalg.norm(x - y)) <= tol * (1.0 + float(np.linalg.norm(x)))
+
+
+def distance_bound(Z, last):
+    """A bound on ||x - x*||, x* the exact projection of Z, from the last
+    sweep. Z - x = p + F, where p = Z - u lies in the row set's normal cone
+    at y and F = u - x in the ball's at x. With r = y - x, testing both
+    cones at x*, and x* against the feasible point min(1, rho/||y||_*) * y,
+    gives ||x - x*||^2 <= ||p|| ||r|| + ||Z|| (||r|| + ||r||_*)."""
+    x, y, u = last["x"], last["y"], last["u"]
+    r = y - x
+    nr = np.linalg.norm(r)
+    return np.sqrt(np.linalg.norm(Z - u) * nr + np.linalg.norm(Z) * (
+        nr + np.linalg.svd(r, compute_uv=False).sum()))
+
+
+@st.composite
+def _dykstra_inputs(draw):
+    """Small matrices, a cap of at most the row length, and a radius below
+    the nuclear norm of the row projection, so that the ball usually binds."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    M = np.array(draw(st.lists(st.lists(st.floats(-10, 10, allow_nan=False),
+                                        min_size=m, max_size=m),
+                               min_size=n, max_size=n)))
+    cap = draw(st.floats(0.25, m))
+    nuc = float(np.linalg.svd(_project_rows(M, cap), compute_uv=False).sum())
+    rho = max(draw(st.floats(0.05, 0.95)) * nuc, 1e-3)
+    return M, cap, rho
 
 
 def greedy_enumeration_oracle(values, cap):
@@ -289,6 +344,11 @@ class TestNuclearProjection:
         with pytest.raises(SvdFailure):
             project_nuclear_ball(np.eye(3) * 100, 1.0)
 
+    def test_subnormal_matrix_inside_a_large_ball_is_returned(self):
+        # rho / 2**e is past the largest float for this matrix
+        M = np.array([[2.22507386e-313, 0.0]])
+        assert project_nuclear_ball(M, 1e-3) is M
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, bad):
         M = np.eye(3) * 100
@@ -314,7 +374,9 @@ class TestNuclearProjection:
         rho = frac * nuc or 1.0  # the zero matrix, any radius
         got = project_nuclear_ball(M, rho)
         want = nuclear_oracle(M, rho)
-        assert np.abs(got - want).max() <= 1e-9 * (1.0 + np.linalg.norm(M))
+        c = np.abs(M).max()  # ||M||_F = c * ||M / c||_F, which does not overflow
+        fro = c * np.linalg.norm(M / c) if c else 0.0
+        assert np.abs(got - want).max() <= 1e-9 * (1.0 + fro)
         assert np.linalg.svd(got, compute_uv=False).sum() <= rho * (1.0 + 1e-9)
 
 
@@ -322,52 +384,114 @@ class TestDykstra:
     def test_idempotent_on_feasible_point(self):
         rng = np.random.default_rng(4)
         M = _project_rows(rng.random((6, 9)), 3.0)
-        out = dykstra_project(M, 3.0, 1e6, max_sweeps=10)
+        out, q = dykstra_project(M, 3.0, 1e6, max_sweeps=10)
         assert np.linalg.norm(out - M) < 1e-8
+        assert q is None  # the zero correction
 
     def test_approaches_the_intersection(self):
         rng = np.random.default_rng(5)
         M = rng.standard_normal((8, 10)) * 4
         rho = 3.0
-        out = dykstra_project(M, 2.0, rho, max_sweeps=300, tol=1e-14)
+        out, _ = dykstra_project(M, 2.0, rho, max_sweeps=300, tol=1e-14)
         # ends on the nuclear projection: inside the ball exactly, with the
         # distance to the row set shrinking as sweeps increase (the solver's
         # final polish is what makes box/row exact)
         assert np.linalg.svd(out, compute_uv=False).sum() <= rho + 1e-9
         dist = np.linalg.norm(out - _project_rows(out, 2.0))
-        coarse = dykstra_project(M, 2.0, rho, max_sweeps=5, tol=1e-14)
+        coarse, _ = dykstra_project(M, 2.0, rho, max_sweeps=5, tol=1e-14)
         dist5 = np.linalg.norm(coarse - _project_rows(coarse, 2.0))
         assert dist <= 0.05 * dist5
 
-    # tol 0.1 ends the binding loop after 15 sweeps and tol 0.9 after one
+    # tol 0.1 ends plain Dykstra's binding loop after 15 sweeps and tol 0.9
+    # after one
     @pytest.mark.parametrize("max_sweeps", [0, 1, 5, 30])
     @pytest.mark.parametrize("rho,tol", [(1e6, 1e-9), (3.0, 1e-9), (3.0, 0.1),
                                          (3.0, 0.9)],
                              ids=["slack", "binding", "binding-tol-0.1",
                                   "binding-tol-0.9"])
-    def test_matches_zero_start_oracle(self, monkeypatch, rho, tol, max_sweeps):
-        calls = Counter()
-        for name in ("_project_rows", "project_nuclear_ball"):
-            def counted(*args, _f=getattr(solver, name), _name=name):
-                calls[_name] += 1
-                return _f(*args)
-            monkeypatch.setattr(solver, name, counted)
+    def test_matches_zero_start_oracle(self, rho, tol, max_sweeps):
         M = np.random.default_rng(5).standard_normal((8, 10)) * 4
-        got = dykstra_project(M, 2.0, rho, max_sweeps, tol=tol)
-        got_calls = Counter(calls)
-        calls.clear()
-        want = zero_start_dykstra_oracle(M, 2.0, rho, max_sweeps, tol=tol)
-        assert np.array_equal(got, want)
-        assert got.tobytes() == want.tobytes()
+        with counted_projections() as (calls, last):
+            want, want_q, want_ok = zero_start_dykstra_oracle(M, 2.0, rho,
+                                                              max_sweeps, tol=tol)
+            want_calls = Counter(calls)
+            want_bound = distance_bound(M, last) if max_sweeps else 0.0
+            calls.clear()
+            got, got_q = dykstra_project(M, 2.0, rho, max_sweeps, tol=tol)
+            got_ok = bool(max_sweeps) and certified(last, tol)
+            got_bound = distance_bound(M, last) if max_sweeps else 0.0
         # the bench counts Dykstra sweeps and nuclear projections by these calls
-        assert got_calls == calls
+        assert calls["_project_rows"] == calls["project_nuclear_ball"] <= max_sweeps
+        if want_calls["_project_rows"] <= 1:
+            # the first sweep from zero is plain Dykstra's, so where the
+            # oracle stops after it the two agree to the bit
+            assert got.tobytes() == want.tobytes()
+            if got_q is None:  # the zero correction
+                assert not want_q.any()
+            else:
+                assert got_q.tobytes() == want_q.tobytes()
+            assert calls == want_calls
+            return
+        assert np.linalg.svd(got, compute_uv=False).sum() <= rho * (1.0 + 1e-12)
+        if want_ok:
+            assert got_ok
+            assert np.linalg.norm(got - want) <= want_bound + got_bound
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dykstra_inputs())
+    # the mixed half of the budget stalls on a flat stretch of the dual and
+    # ends uncertified; the plain half certifies
+    @example((np.array([[1.0], [8.0]]), 0.5, 0.04419417382415922))
+    @example((np.array([[2.22507386e-313]]), 1.0, 0.001))  # subnormal, slack
+    # both certify 2.4e-6 apart: a residual of tol only bounds the distance
+    # by about sqrt(tol)
+    @example((np.array([[2.0, 0.0], [1e-4, 0.5]]), 1.0, 0.7500000016666666))
+    def test_certifies_wherever_plain_dykstra_does(self, case):
+        M, cap, rho = case
+        with counted_projections() as (_, last):
+            want, _, want_ok = zero_start_dykstra_oracle(M, cap, rho, 200)
+            want_bound = distance_bound(M, last)
+            # mixing gets half the budget, and plain sweeps the rest
+            got, _ = dykstra_project(M, cap, rho, 500)
+            got_ok = certified(last, 1e-9)
+            got_bound = distance_bound(M, last)
+        if want_ok:
+            assert got_ok
+            assert np.linalg.norm(got - want) <= (
+                want_bound + got_bound + 1e-12 * (1.0 + np.linalg.norm(want)))
+
+    def test_warm_start_from_unrelated_correction(self):
+        rng = np.random.default_rng(7)
+        M = rng.standard_normal((6, 7)) * 2
+        q = rng.standard_normal((6, 7)) * 3
+        with counted_projections() as (_, last):
+            want, _, ok = zero_start_dykstra_oracle(M, 2.0, 3.0, 2000)
+            assert ok
+            want_bound = distance_bound(M, last)
+            got, _ = dykstra_project(M, 2.0, 3.0, 2000, q=q)
+            assert certified(last, 1e-9)
+            got_bound = distance_bound(M, last)
+        assert np.linalg.norm(got - want) <= want_bound + got_bound <= 1e-3
+
+    @pytest.mark.parametrize("max_sweeps", [1, 2, 5, 30])
+    @pytest.mark.parametrize("tol", [1e-9, 0.1, 0.9])
+    def test_warm_start_takes_one_row_and_one_nuclear_projection_per_sweep(
+            self, max_sweeps, tol):
+        # the bench counts Dykstra sweeps and nuclear projections by these calls
+        rng = np.random.default_rng(5)
+        M = rng.standard_normal((8, 10)) * 4
+        with counted_projections() as (calls, _):
+            dykstra_project(M, 2.0, 3.0, max_sweeps, tol=tol,
+                            q=rng.standard_normal((8, 10)))
+        assert calls["_project_rows"] == calls["project_nuclear_ball"]
+        assert 1 <= calls["_project_rows"] <= max_sweeps
 
     def test_polish_makes_box_and_rows_exact(self):
         from qcrowd.solver import _polish
         rng = np.random.default_rng(19)
         M = rng.standard_normal((8, 10)) * 4
         rho = 3.0
-        out, res = _polish(dykstra_project(M, 2.0, rho, max_sweeps=100), 2.0, rho)
+        out, res = _polish(dykstra_project(M, 2.0, rho, max_sweeps=100)[0], 2.0, rho)
         assert res == feasibility_residuals(out, 2, rho)
         assert res["box"] == 0.0
         assert res["row"] <= 1e-9
@@ -607,6 +731,30 @@ class TestSolveRecoverM:
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         matrix, _ = solve_recover_M(_observed(rng.random((6, 8))), cfg)
         assert sum(np.array_equal(a, matrix.M) for a in seen) == 1
+
+    def test_dykstra_correction_carries_from_step_to_step(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        cfg = make_config(n=6, m=8, beta=0.25, k=8, k0=8, rho_scale=0.05,
+                          solver=SolverSettings(max_iters=4))
+        project = solver.dykstra_project
+        passed, returned = [], []
+
+        def recording(*args, q=None):
+            passed.append(q)
+            out = project(*args, q=q)
+            returned.append(out[1])
+            return out
+
+        monkeypatch.setattr(solver, "dykstra_project", recording)
+        ratings = _observed(rng.random((6, 8)))
+        for _ in range(2):  # a second solve starts from zero again
+            solve_recover_M(ratings, cfg)
+            assert passed[0] is None
+            assert all(a is not None and np.array_equal(a, b)
+                       for a, b in zip(passed[1:], returned))
+            assert len(passed) == 4
+            passed.clear()
+            returned.clear()
 
     @pytest.mark.parametrize("rho_scale", [1.0, 0.05], ids=["slack", "binding"])
     def test_report_residuals_are_those_of_the_returned_matrix(self, rho_scale):
