@@ -23,8 +23,8 @@ from .core import (
     SelectionSet,
     TOL_FEAS,
     TOL_NUC,
-    _scaled,
     derive_rng,
+    operator_norm,
 )
 from .quantile import recover_quantile
 from .solver import solve_recover_M
@@ -71,27 +71,6 @@ def denoised_matrix(world: WorldModel, observed: ObservedRatings,
     B = observed.values.copy()
     B[world.reliable_set] = (cfg.k / cfg.m) * world.a_star
     return B
-
-
-def operator_norm(M: np.ndarray) -> float:
-    """Largest singular value of M; 0.0 for an empty or all-zero matrix.
-
-    sigma_1 is 2**e times the square root of the largest eigenvalue of the
-    smaller Gram matrix of Y = M / 2**e (core._scaled): Y @ Y.T when M has
-    no more rows than columns, else Y.T @ Y. That eigenvalue is well
-    conditioned, so this agrees with the SVD's sigma_1 to rounding.
-
-    Raises ValueError unless M is two-dimensional with finite entries.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ValueError(f"operator norm needs a 2-D matrix, got ndim {M.ndim}")
-    Y, e = _scaled(M)
-    if not Y.any():
-        return 0.0
-    G = Y @ Y.T if M.shape[0] <= M.shape[1] else Y.T @ Y
-    with np.errstate(over="ignore"):  # sigma_1 may exceed the largest float
-        return float(np.ldexp(math.sqrt(float(np.linalg.eigvalsh(G)[-1])), e))
 
 
 def deviations(M: np.ndarray, r_tilde: np.ndarray, r_star: np.ndarray,

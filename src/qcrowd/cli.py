@@ -28,8 +28,6 @@ from .core import (
     scalar_fields,
 )
 
-SEED_ENV_VAR = "QCROWD_SEED"
-
 # Thread counts of the BLAS builds numpy may use; set by the user, they are
 # left alone.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -235,14 +233,6 @@ def run_experiment(spec: RunSpec) -> int:
     if spec.config_path is None:
         raise ConfigError(f"--config is required for mode '{spec.mode}'")
     cfg = parse_config(Path(spec.config_path).read_text())
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(
-                f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
-        cfg = replace(cfg, seed=seed)
     if spec.rho_scale is not None:
         cfg = replace(cfg, rho_scale=spec.rho_scale)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
@@ -289,7 +279,7 @@ class _Command(click.Command):
 @click.option("--mode", type=click.Choice(["run", "sweep"]),
               default="run", show_default=True)
 @click.option("--allow-nonconverged", is_flag=True,
-              help="Exit 0 even when some solves hit the iteration limit.")
+              help="Exit 0 even when some solves do not certify within max_iters.")
 @click.option("--rho-scale", type=float, default=None,
               help="Nuclear-norm bound multiplier; overrides rho_scale.")
 def main(config_path, out_dir, trials, jobs, mode, allow_nonconverged, rho_scale):

@@ -77,8 +77,8 @@ class ExperimentConfig:
     n raters rate m items (m >= n). A fraction alpha of raters is reliable,
     the target is the set of the beta-fraction best items, epsilon is the
     target accuracy and delta the allowed failure probability. k and k0 are
-    the per-rater and requester rating budgets; L and epsilon0 parametrize
-    how faithfully reliable raters track the requester's true ranking.
+    the per-rater and requester rating budgets; L bounds how steeply
+    reliable raters' expected ratings may flatten the true ranking.
     rho_scale multiplies the nuclear-norm bound. noise ("bernoulli" or
     "noiseless") and truth (the r_star distribution; None derives it from
     the adversary) are checked where a trial uses them, by WorldModel and
@@ -99,7 +99,6 @@ class ExperimentConfig:
     k: int
     k0: int
     L: float = 1.0
-    epsilon0: float = 0.0
     seed: int = 0
     rho_scale: float = 1.0
     noise: str = "bernoulli"
@@ -143,8 +142,6 @@ class ExperimentConfig:
             raise ConfigError("k0 must be at most m")
         if not 1.0 <= self.L < math.inf:
             raise ConfigError("L must be finite and at least 1")
-        if not 0.0 <= self.epsilon0 < math.inf:
-            raise ConfigError("epsilon0 must be finite and non-negative")
         if not 0.0 < self.rho_scale < math.inf:
             raise ConfigError("rho scale must be positive and finite")
 
@@ -320,6 +317,27 @@ def _scaled(M: np.ndarray):
         raise ValueError("matrix has a NaN or infinite entry")
     e = math.frexp(c)[1]
     return np.ldexp(M, -e), e
+
+
+def operator_norm(M: np.ndarray) -> float:
+    """Largest singular value of M; 0.0 for an empty or all-zero matrix.
+
+    sigma_1 is 2**e times the square root of the largest eigenvalue of the
+    smaller Gram matrix of Y = M / 2**e (_scaled): Y @ Y.T when M has
+    no more rows than columns, else Y.T @ Y. That eigenvalue is well
+    conditioned, so this agrees with the SVD's sigma_1 to rounding.
+
+    Raises ValueError unless M is two-dimensional with finite entries.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise ValueError(f"operator norm needs a 2-D matrix, got ndim {M.ndim}")
+    Y, e = _scaled(M)
+    if not Y.any():
+        return 0.0
+    G = Y @ Y.T if M.shape[0] <= M.shape[1] else Y.T @ Y
+    with np.errstate(over="ignore"):  # sigma_1 may exceed the largest float
+        return float(np.ldexp(math.sqrt(float(np.linalg.eigvalsh(G)[-1])), e))
 
 
 def feasibility_residuals(M: np.ndarray, beta_m: int, rho: float) -> dict:

@@ -20,33 +20,32 @@ from .core import (
     ExperimentConfig,
     QuantileMatrix,
     SolverSettings,  # re-exported: qcrowd.solver.SolverSettings
-    TOL_NUC,
     _frobenius_certifies,
     _scaled,
     feasibility_residuals,
     nuclear_excess,
+    operator_norm,
 )
 
 
 class SvdFailure(RuntimeError):
-    """Raised when a singular value or Gram eigen decomposition does not
+    """Raised when the nuclear projection's Gram eigendecomposition does not
     converge."""
 
 
-# Stop rules: converged once the best objective is within
-# STOP_REL_OBJ * max(1, |bound|) of the row program's optimum, or once it
-# gains at most STOP_REL_OBJ * max(1, |best|) over the last STOP_WINDOW
-# iterations.
+# The ascent stops once its best objective is within
+# STOP_REL_OBJ * max(1, |bound|) of the row program's optimum bound.
 STOP_REL_OBJ = 1e-6
-STOP_WINDOW = 25
 DYKSTRA_SWEEPS = 30  # Dykstra sweeps per projected step
 ANDERSON_MEMORY = 3  # past Dykstra sweeps mixed into the next one's start
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Diagnostics for one solve; converged is False when max_iters ran out
-    before the stop rule held."""
+    """Diagnostics for one solve of the returned matrix; converged is True
+    exactly when that matrix is feasible (all three residuals 0) and its
+    objective is within STOP_REL_OBJ * max(1, |bound|) of the row-program
+    bound, a certified relative gap of at most STOP_REL_OBJ."""
 
     iterations: int
     objective: float
@@ -68,9 +67,9 @@ def _project_rows(M: np.ndarray, cap: float) -> np.ndarray:
     when no entry is free or the step leaves it, and moves one float when
     rounding swallows the step. A row is done once
     cap - 1e-12 * cap <= f(theta) <= cap, or once no float lies strictly
-    between lo and hi, and then takes theta = hi, so no row sum exceeds the
-    cap. Rows leave the search as they finish; it stops after 80 steps,
-    with theta = hi on any row still open.
+    between lo and hi, and then takes theta = hi, so no row sum, as the
+    search adds it, exceeds the cap. Rows leave the search as they finish;
+    it stops after 80 steps, with theta = hi on any row still open.
     """
     M = np.asarray(M, dtype=float)
     X = np.clip(M, 0.0, 1.0)
@@ -137,14 +136,6 @@ def _simplex_threshold(s: np.ndarray, radius: float) -> np.ndarray:
     rank = int(positive[-1]) + 1
     theta = (css[rank - 1] - radius) / rank
     return np.maximum(s - theta, 0.0)
-
-
-def _svd(M: np.ndarray) -> np.ndarray:
-    """Singular values of M, raising SvdFailure on a LAPACK failure."""
-    try:
-        return np.linalg.svd(M, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise SvdFailure("singular value decomposition did not converge") from exc
 
 
 def project_nuclear_ball(M: np.ndarray, rho: float) -> np.ndarray:
@@ -361,14 +352,22 @@ def _face_point(A: np.ndarray, cap: int, x0: float) -> np.ndarray:
 
 
 def _polish(M: np.ndarray, cap: float, rho: float) -> Tuple[np.ndarray, dict]:
-    """Make box and row-sum constraints exact, keeping the nuclear residual
-    within TOL_NUC / 2; returns the matrix and its feasibility_residuals."""
+    """Row-project M, then scale it into the feasible set; returns the
+    matrix and its feasibility_residuals.
+
+    The row projection clips to [0, 1] and keeps each row sum at or below
+    cap as its own search adds it; another order of summation can still see
+    a row exceed cap by a few ulps. When the row excess r or the nuclear
+    excess e of feasibility_residuals is positive, the matrix is multiplied
+    by 1 / ((1 + e) * (1 + r / cap) * (1 + 1e-12)). A factor below 1 keeps
+    every entry in [0, 1] (rounding is monotone), and the relative margin of
+    1e-12 covers the rounding of the scaled row and singular-value sums.
+    """
     X = _project_rows(M, cap)
     res = feasibility_residuals(X, cap, rho)
-    for _ in range(50):
-        if res["nuc"] <= TOL_NUC / 2:
-            break
-        X = _project_rows(project_nuclear_ball(X, rho), cap)
+    if res["row"] > 0.0 or res["nuc"] > 0.0:
+        X = X * (1.0 / ((1.0 + res["nuc"]) * (1.0 + res["row"] / cap)
+                        * (1.0 + 1e-12)))
         res = feasibility_residuals(X, cap, rho)
     return X, res
 
@@ -381,13 +380,12 @@ def solve_recover_M(ratings,
     Dykstra projection onto the feasible set. It starts at the row program's
     face point L (see _face_point) when L lies in the nuclear ball, and
     otherwise at beta * ones (zeros when that is infeasible). Every solve
-    takes at least one step. It stops, converged, once the best objective
-    is within STOP_REL_OBJ * max(1, |bound|) of bound = <A, L>, the row
-    program's optimum and an upper bound on the program's, or once it gains
-    at most STOP_REL_OBJ * max(1, |best|) over STOP_WINDOW iterations.
-    Returns the best iterate by objective, polished so box/row-sum
-    constraints hold exactly, whether or not a stop rule was met by
-    max_iters; report.converged says which.
+    takes at least one step. It stops once the best objective is within
+    STOP_REL_OBJ * max(1, |bound|) of bound = <A, L>, the row program's
+    optimum and an upper bound on the program's, or after max_iters steps.
+    Returns the best iterate by objective, polished into the feasible set
+    (see _polish). report.converged holds when the returned matrix is
+    feasible and its own objective is within that distance of bound.
     """
     return _solve(ratings, cfg, face_start=True)
 
@@ -413,17 +411,15 @@ def _solve(ratings, cfg: ExperimentConfig,
     if settings.eta0 is not None:
         eta0 = settings.eta0
     else:
-        sigma1 = float(_svd(A)[0]) if A.any() else 0.0
+        sigma1 = operator_norm(A)
         eta0 = 1.0 / sigma1 if sigma1 > 1e-12 else 1.0
 
+    target = bound - STOP_REL_OBJ * max(1.0, abs(bound))
     best_obj = -math.inf
     best_M = M
     q = None  # Dykstra's nuclear correction, carried from step to step
     trace = []
-    converged = False
-    iterations = 0
     for t in range(1, settings.max_iters + 1):
-        iterations = t
         eta = eta0 / math.sqrt(t)
         M, q = dykstra_project(M + eta * A, cap, rho, DYKSTRA_SWEEPS, q=q)
         obj = float(np.vdot(A, M))
@@ -431,20 +427,18 @@ def _solve(ratings, cfg: ExperimentConfig,
             best_obj = obj
             best_M = M
         trace.append(best_obj)
-        if best_obj >= bound - STOP_REL_OBJ * max(1.0, abs(bound)) or (
-                t > STOP_WINDOW and trace[-1] - trace[-1 - STOP_WINDOW] <= (
-                    STOP_REL_OBJ * max(1.0, abs(trace[-1])))):
-            converged = True
+        if best_obj >= target:
             break
 
     final, res = _polish(best_M, cap, rho)
+    objective = float(np.vdot(A, final))
     report = SolveReport(
-        iterations=iterations,
-        objective=float(np.vdot(A, final)),
+        iterations=len(trace),
+        objective=objective,
         residual_box=res["box"],
         residual_row=res["row"],
         residual_nuc=res["nuc"],
-        converged=converged,
+        converged=objective >= target and not any(res.values()),
         objective_trace=tuple(trace),
     )
     return QuantileMatrix(final), report

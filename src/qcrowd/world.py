@@ -183,14 +183,12 @@ def monotonicity_violation(r_star: np.ndarray, a_star: np.ndarray,
 
 
 def check_monotonicity(r_star: np.ndarray, a_star: np.ndarray, L: float,
-                       epsilon0: float, tol: float = 1e-9) -> None:
+                       tol: float = 1e-9) -> None:
     viol = monotonicity_violation(r_star, a_star, L)
     if not viol < np.inf:  # NaN or +inf
         raise ProfileError("ratings and profile must be finite")
-    if viol > epsilon0 + tol:
-        raise ProfileError(
-            f"profile violates ({L}, {epsilon0})-monotonicity by {viol - epsilon0:.3g}"
-        )
+    if viol > tol:
+        raise ProfileError(f"profile violates monotonicity with L = {L} by {viol:.3g}")
 
 
 def _group_of(ordinal: np.ndarray, group_size: int, n_total: int) -> np.ndarray:
@@ -293,6 +291,6 @@ def build_world(cfg: ExperimentConfig, rng: np.random.Generator) -> WorldModel:
     else:
         a_star = random_affine_profile(gt.r_star, cfg.alpha_n, cfg.L, rng)
 
-    check_monotonicity(gt.r_star, a_star, cfg.L, cfg.epsilon0)
+    check_monotonicity(gt.r_star, a_star, cfg.L)
     return WorldModel(ground_truth=gt, reliable_set=reliable, a_star=a_star,
                       adversary=cfg.adversary, noise=cfg.noise)

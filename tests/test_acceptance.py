@@ -284,7 +284,7 @@ def test_criterion_10_monotonicity_transfer(trend_results):
         solver=SolverSettings(max_iters=300, eta0=0.1))
     affine = [run_trial(cfg, 62000 + s) for s in range(10)]
     _track(affine, cfg)
-    worst_affine = max(r.gap_r - (cfg.L * r.gap_a + cfg.epsilon0) for r in affine)
+    worst_affine = max(r.gap_r - cfg.L * r.gap_a for r in affine)
     checked += len(affine)
     ok = worst <= 1e-9 and worst_affine <= 1e-9
     _report(10, ok, f"rating-gap transfer holds on all {checked} trials "

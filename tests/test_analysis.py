@@ -234,7 +234,7 @@ class TestMonotoneTransfer:
                           noise="noiseless", solver=SolverSettings(max_iters=150))
         for s in range(5):
             res = run_trial(cfg, 500 + s)
-            assert res.gap_r <= cfg.L * res.gap_a + cfg.epsilon0 + 1e-9
+            assert res.gap_r <= cfg.L * res.gap_a + 1e-9
 
     def test_identity_world_gaps_coincide(self):
         cfg = make_config(n=8, m=10, alpha=1.0, beta=0.3, k=10, k0=10,

@@ -204,15 +204,6 @@ class TestRunMode:
         gap = raw.decode().splitlines()[1].split(",")[1]
         assert len(gap.replace(".", "").replace("-", "").lstrip("0")) <= 12
 
-    def test_env_seed_override(self, tmp_path, config_file, monkeypatch):
-        monkeypatch.setenv("QCROWD_SEED", "99")
-        out = tmp_path / "out"
-        spec = RunSpec(mode="run", config_path=config_file, out_dir=out,
-                       trials=1, allow_nonconverged=True)
-        run_experiment(spec)
-        first = (out / "results.csv").read_text().splitlines()[1]
-        assert first.split(",")[0] == "99"
-
     def test_rho_scale_key_matches_flag_and_flag_overrides_it(self, tmp_path):
         def outputs(name, text, rho_scale=None):
             cfg = tmp_path / f"{name}.cfg"
@@ -350,7 +341,7 @@ class TestMainCommand:
         # rho is far below the float spacing of the top singular value
         result = CliRunner().invoke(main, [
             "--config", str(config_file), "--out", str(tmp_path / "o"),
-            "--trials", "1", "--rho-scale", "1e-22"])
+            "--trials", "1", "--rho-scale", "1e-22", "--allow-nonconverged"])
         assert result.exit_code == 0, result.output
         assert "Traceback" not in result.output
 
@@ -361,55 +352,53 @@ class TestMainCommand:
             "--trials", "0"])
         assert result.exit_code == 1
 
-    @pytest.mark.parametrize("old,new,args,env,names", [
-        pytest.param("", "", [], {"QCROWD_SEED": "abc"}, "QCROWD_SEED",
-                     id="env-seed"),
-        *(pytest.param("", "", ["--rho-scale", v], {}, "rho scale",
+    @pytest.mark.parametrize("old,new,args,names", [
+        *(pytest.param("", "", ["--rho-scale", v], "rho scale",
                        id=f"rho-scale={v}") for v in ("-1", "0", "nan", "inf")),
-        pytest.param("seed = 42", "seed = 42\nrho_scale = 0", [], {},
+        pytest.param("seed = 42", "seed = 42\nrho_scale = 0", [],
                      "rho scale", id="rho_scale=0"),
         pytest.param("adversary = SymmetricBlocks\nadversary.block_low = 0.8\n",
-                     "", [], {}, "adversary strategy is required",
+                     "", [], "adversary strategy is required",
                      id="no-adversary"),
-        pytest.param("seed = 42", "seed = 42\nL = nan", [], {}, "L must",
+        pytest.param("seed = 42", "seed = 42\nL = nan", [], "L must",
                      id="L=nan"),
-        pytest.param("seed = 42", "seed = 42\nepsilon0 = nan", [], {},
-                     "epsilon0", id="epsilon0=nan"),
         pytest.param("SymmetricBlocks\nadversary.block_low = 0.8",
-                     "RandomSpam\nadversary.p_high = 2", [], {}, "p_high",
+                     "RandomSpam\nadversary.p_high = 2", [], "p_high",
                      id="p_high=2"),
-        pytest.param("block_low = 0.8", "block_low = 1.5", [], {}, "block_low",
+        pytest.param("block_low = 0.8", "block_low = 1.5", [], "block_low",
                      id="block_low=1.5"),
         pytest.param("SymmetricBlocks\nadversary.block_low = 0.8",
-                     "DenseHalfPositive\nadversary.block_size = -1", [], {},
+                     "DenseHalfPositive\nadversary.block_size = -1", [],
                      "block_size", id="block_size=-1"),
-        pytest.param("max_iters = 250", "max_iters = 0", [], {}, "max_iters",
+        pytest.param("max_iters = 250", "max_iters = 0", [], "max_iters",
                      id="max_iters=0"),
-        pytest.param("max_iters = 250", "eta0 = nan", [], {}, "eta0",
+        pytest.param("max_iters = 250", "eta0 = nan", [], "eta0",
                      id="eta0=nan"),
+        pytest.param("seed = 42", "seed = 42\nepsilon0 = 0", [], "epsilon0",
+                     id="removed-key"),
         pytest.param("max_iters = 250", "max_iters = 250\nsolver.stop_window = 25",
-                     [], {}, "solver.stop_window", id="removed-solver-key"),
+                     [], "solver.stop_window", id="removed-solver-key"),
         pytest.param("n = 10\nm = 12", f"n = {_HUGE}\nm = {_HUGE}",
-                     [], {}, "n is too large", id="huge-n-m"),
-        *(pytest.param("n = 10\nm = 12", f"n = {v}\nm = {v}", [], {},
+                     [], "n is too large", id="huge-n-m"),
+        *(pytest.param("n = 10\nm = 12", f"n = {v}\nm = {v}", [],
                        "n * m is too large", id=f"n=m={label}")
           for v, label in ((10**10, "1e10"), (10**200, "1e200"))),
-        pytest.param("# toy", "# \xff toy", [], {}, "utf-8", id="not-utf8"),
-        *(pytest.param("", "", [flag, "x"], {}, f"'{flag}'", id=f"{flag}=x")
+        pytest.param("# toy", "# \xff toy", [], "utf-8", id="not-utf8"),
+        *(pytest.param("", "", [flag, "x"], f"'{flag}'", id=f"{flag}=x")
           for flag in ("--trials", "--jobs", "--rho-scale", "--mode")),
-        pytest.param("", "", ["--mode", "check"], {}, "'check'",
+        pytest.param("", "", ["--mode", "check"], "'check'",
                      id="--mode=check"),
-        pytest.param("", "", ["--bogus"], {}, "No such option",
+        pytest.param("", "", ["--bogus"], "No such option",
                      id="unknown-option"),
     ])
     def test_malformed_input_gives_one_error_line(self, tmp_path, old, new,
-                                                  args, env, names):
+                                                  args, names):
         cfg = tmp_path / "exp.cfg"
         text = GOOD_CONFIG.replace(old, new) if old else GOOD_CONFIG
         cfg.write_bytes(text.encode("latin-1"))  # keeps a lone \xff byte
         result = CliRunner().invoke(main, [
             "--config", str(cfg), "--out", str(tmp_path / "o"),
-            "--allow-nonconverged", *args], env=env)
+            "--allow-nonconverged", *args])
         assert result.exit_code == 1
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), result.output
@@ -429,6 +418,5 @@ def test_readme_config_block_names_every_key():
     # a field added to ExperimentConfig or SolverSettings changes this set
     assert accepted == {
         "n", "m", "alpha", "beta", "epsilon", "delta", "k", "k0", "L",
-        "epsilon0", "seed", "rho_scale", "adversary", "solver.max_iters",
-        "solver.eta0"}
+        "seed", "rho_scale", "adversary", "solver.max_iters", "solver.eta0"}
     assert accepted <= named, sorted(accepted - named)

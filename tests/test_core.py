@@ -59,9 +59,6 @@ class TestValidateConfig:
         ("L", 0.5, "L"),
         ("L", float("nan"), "L"),
         ("L", float("inf"), "L"),
-        ("epsilon0", -0.1, "epsilon0"),
-        ("epsilon0", float("nan"), "epsilon0"),
-        ("epsilon0", float("inf"), "epsilon0"),
         ("rho_scale", 0.0, "rho scale"),
         ("rho_scale", float("nan"), "rho scale"),
         ("rho_scale", float("inf"), "rho scale"),

@@ -174,13 +174,13 @@ class TestAffineProfile:
         a = np.tile(r, (2, 1))
         (a[1] if where == "profile" else r)[3] = np.nan
         with pytest.raises(ProfileError, match="finite"):
-            check_monotonicity(r, a, L=1.0, epsilon0=0.0)
+            check_monotonicity(r, a, L=1.0)
 
     def test_check_monotonicity_raises_on_violation(self):
         r = np.array([1.0, 0.0])
         a = np.array([[0.0, 1.0]])  # decreasing in r
         with pytest.raises(ProfileError, match="monotonicity"):
-            check_monotonicity(r, a, L=1.0, epsilon0=0.0)
+            check_monotonicity(r, a, L=1.0)
 
 
 def _descending_gt(m, beta_m, lo=0.8):
