@@ -182,6 +182,13 @@ class TestOperatorNorm:
             operator_norm(np.ones(shape))
 
 
+    def test_is_the_core_function(self):
+        # one sigma_1 kernel: the solver's default step uses the same one
+        from qcrowd import core, solver
+        assert analysis.operator_norm is core.operator_norm
+        assert solver.operator_norm is core.operator_norm
+
+
 class TestMaxSetDeviation:
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(6)

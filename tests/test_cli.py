@@ -221,6 +221,23 @@ class TestRunMode:
         assert outputs("both", _BINDING_CONFIG + "rho_scale = 0.5\n",
                        rho_scale=0.1) == flag
 
+    def test_seed_environment_variable_is_ignored(self, tmp_path, config_file,
+                                                  monkeypatch):
+        # the config's seed key is the only seed input
+        monkeypatch.delenv("QCROWD_SEED", raising=False)
+        outs = []
+        for name in ("plain", "env"):
+            if name == "env":
+                monkeypatch.setenv("QCROWD_SEED", "7")
+            out = tmp_path / name
+            run_experiment(RunSpec(mode="run", config_path=config_file,
+                                   out_dir=out, trials=2,
+                                   allow_nonconverged=True))
+            outs.append(((out / "results.csv").read_bytes(),
+                         (out / "summary.csv").read_bytes()))
+        assert outs[0] == outs[1]
+        assert outs[1][0].decode().splitlines()[1].startswith("42,")
+
     def test_exit_2_on_nonconverged_without_flag(self, tmp_path, config_file):
         # the ball binds at rho_scale 0.1, so 2 steps cannot certify
         text = config_file.read_text().replace("solver.max_iters = 250",

@@ -495,6 +495,27 @@ class TestDykstra:
         assert res == feasibility_residuals(out, 2, rho)
         assert res == {"box": 0.0, "row": 0.0, "nuc": 0.0}
 
+    def test_polish_scales_a_row_feasible_matrix_into_the_ball(self):
+        from qcrowd.solver import _polish
+        rng = np.random.default_rng(20)
+        X = _project_rows(rng.random((8, 10)) * 2, 2.0)
+        rho = 0.5 * float(np.linalg.svd(X, compute_uv=False).sum())
+        out, res = _polish(X, 2.0, rho)
+        assert res == feasibility_residuals(out, 2, rho)
+        assert res == {"box": 0.0, "row": 0.0, "nuc": 0.0}
+        # one scalar factor below 1, no smaller than the ball needs
+        c = out.sum() / X.sum()
+        assert 0.0 < c < 1.0
+        assert np.allclose(out, c * X, rtol=1e-14, atol=0.0)
+        assert np.linalg.svd(out, compute_uv=False).sum() >= rho * (1 - 1e-9)
+
+    def test_polish_returns_a_feasible_matrix_unchanged(self):
+        from qcrowd.solver import _polish
+        X = np.full((6, 8), 0.25)  # row sums exactly 2, nuclear norm 1.73
+        out, res = _polish(X, 2.0, 3.0)
+        assert res == {"box": 0.0, "row": 0.0, "nuc": 0.0}
+        assert np.array_equal(out, X)
+
 
 # --- greedy oracle -------------------------------------------------------------
 
@@ -704,6 +725,47 @@ class TestSolveRecoverM:
                 report.residual_nuc) == (0.0, 0.0, 0.0)
         if report.converged:
             assert report.objective >= bound - 1e-6 * max(1.0, abs(bound))
+
+    @pytest.mark.parametrize("rho_scale,certified", [(1.0, True), (0.05, False)],
+                             ids=["slack", "binding"])
+    def test_converged_iff_the_returned_matrix_certifies(self, rho_scale,
+                                                        certified):
+        # the binding ball (as in test_not_converged_carries_result) keeps 3
+        # steps short of the bound; the slack solve starts at the face point
+        rng = np.random.default_rng(12)
+        cfg = make_config(n=6, m=8, beta=0.25, k=8, k0=8, rho_scale=rho_scale,
+                          solver=SolverSettings(max_iters=3))
+        A = rng.random((6, 8))
+        matrix, report = solve_recover_M(_observed(A), cfg)
+        x0 = _start_value(6, 8, cfg.beta, cfg.beta_m, cfg.rho)
+        bound = float(np.vdot(A, _face_point(A, cfg.beta_m, x0)))
+        res = feasibility_residuals(matrix.M, cfg.beta_m, cfg.rho)
+        assert report.objective == float(np.vdot(A, matrix.M))
+        assert report.converged == (
+            report.objective >= bound - 1e-6 * max(1.0, abs(bound))
+            and res == {"box": 0.0, "row": 0.0, "nuc": 0.0})
+        assert report.converged == certified
+
+    def test_default_step_is_one_over_the_operator_norm(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        A = rng.random((6, 8))
+        norm = solver.operator_norm
+        calls = []
+
+        def counted(M):
+            calls.append(np.array(M))
+            return norm(M)
+
+        monkeypatch.setattr(solver, "operator_norm", counted)
+        cfg = make_config(n=6, m=8, beta=0.25, k=8, k0=8, rho_scale=0.05,
+                          solver=SolverSettings(max_iters=4))
+        default = solve_recover_M(_observed(A), cfg)
+        assert len(calls) == 1 and np.array_equal(calls[0], A)
+        explicit = solve_recover_M(_observed(A), replace(
+            cfg, solver=SolverSettings(max_iters=4, eta0=1.0 / norm(A))))
+        assert len(calls) == 1  # a set eta0 needs no sigma_1
+        assert np.array_equal(default[0].M, explicit[0].M)
+        assert default[1] == explicit[1]
 
     def test_slack_solve_starts_at_the_face_point(self):
         rng = np.random.default_rng(14)

@@ -176,6 +176,18 @@ class TestAffineProfile:
         with pytest.raises(ProfileError, match="finite"):
             check_monotonicity(r, a, L=1.0)
 
+    @pytest.mark.parametrize("viol,ok", [(0.5e-9, True), (2e-9, False)],
+                             ids=["within-tol", "above-tol"])
+    def test_check_monotonicity_allows_only_rounding(self, viol, ok):
+        r = np.array([0.0, 1.0])
+        a = np.array([[0.0, 1.0 - viol]])  # violation viol at L = 1
+        assert monotonicity_violation(r, a, 1.0) == pytest.approx(viol, rel=1e-6)
+        if ok:
+            check_monotonicity(r, a, L=1.0)
+        else:
+            with pytest.raises(ProfileError, match="monotonicity"):
+                check_monotonicity(r, a, L=1.0)
+
     def test_check_monotonicity_raises_on_violation(self):
         r = np.array([1.0, 0.0])
         a = np.array([[0.0, 1.0]])  # decreasing in r
