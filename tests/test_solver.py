@@ -20,7 +20,14 @@ from qcrowd import (
 )
 from qcrowd import solver
 from qcrowd.core import feasibility_residuals
-from qcrowd.solver import _face_point, _project_rows, _solve, _start_value
+from qcrowd.solver import (
+    DYKSTRA_TOL,
+    STOP_REL_OBJ,
+    _face_point,
+    _project_rows,
+    _solve,
+    _start_value,
+)
 
 from conftest import make_config
 
@@ -637,6 +644,43 @@ def _observed(values):
     return ObservedRatings(values=values, mask=np.ones(values.shape, dtype=np.int8))
 
 
+def _record_dykstra(monkeypatch):
+    """Wrap solver.dykstra_project; returns the lists of the corrections
+    passed and returned and of the tolerances passed, one entry a call."""
+    project = solver.dykstra_project
+    passed, returned, tols = [], [], []
+
+    def recording(*args, tol, q=None):
+        passed.append(q)
+        tols.append(tol)
+        out = project(*args, tol=tol, q=q)
+        returned.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver, "dykstra_project", recording)
+    return passed, returned, tols
+
+
+def _near_threshold(seed):
+    """A sparse 8x12 instance whose nuclear ball binds on the ascent's path
+    but not at its optimum: rho lies a fifth of the way (geometrically) from
+    the nuclear norm of the face point L of beta * ones, outside the ball,
+    down to that of the greedy point, inside it. The greedy point reaches
+    the bound <A, L>, so the solve can certify; on these seeds it does
+    within 60 steps."""
+    rng = np.random.default_rng(seed)
+    A = rng.random((8, 12)) * (rng.random((8, 12)) < 0.15)
+    cfg = make_config(n=8, m=12, beta=0.25, k=12, k0=12,
+                      solver=SolverSettings(max_iters=100))
+
+    def nuclear(X):
+        return np.linalg.svd(X, compute_uv=False).sum() / cfg.rho
+
+    low = nuclear(greedy_row_oracle(A, cfg.beta_m))
+    high = nuclear(_face_point(A, cfg.beta_m, cfg.beta))
+    return A, replace(cfg, rho_scale=low ** 0.2 * high ** 0.8)
+
+
 class TestSolveRecoverM:
     def test_matches_greedy_when_nuclear_slack(self):
         rng = np.random.default_rng(8)
@@ -801,16 +845,7 @@ class TestSolveRecoverM:
         rng = np.random.default_rng(12)
         cfg = make_config(n=6, m=8, beta=0.25, k=8, k0=8, rho_scale=0.05,
                           solver=SolverSettings(max_iters=4))
-        project = solver.dykstra_project
-        passed, returned = [], []
-
-        def recording(*args, q=None):
-            passed.append(q)
-            out = project(*args, q=q)
-            returned.append(out[1])
-            return out
-
-        monkeypatch.setattr(solver, "dykstra_project", recording)
+        passed, returned, tols = _record_dykstra(monkeypatch)
         ratings = _observed(rng.random((6, 8)))
         for _ in range(2):  # a second solve starts from zero again
             solve_recover_M(ratings, cfg)
@@ -818,8 +853,56 @@ class TestSolveRecoverM:
             assert all(a is not None and np.array_equal(a, b)
                        for a, b in zip(passed[1:], returned))
             assert len(passed) == 4
+            assert all(DYKSTRA_TOL <= b <= a <= STOP_REL_OBJ
+                       for a, b in zip(tols, tols[1:]))
             passed.clear()
             returned.clear()
+            tols.clear()
+
+    # rho_scale 0.02 puts beta * ones outside the ball, so the ascent starts
+    # at zeros; at 1.0 the ball is slack and it starts at the face point
+    @pytest.mark.parametrize("rho_scale,first", [(0.02, STOP_REL_OBJ),
+                                                 (1.0, DYKSTRA_TOL)],
+                             ids=["zero-start", "face-point-start"])
+    def test_dykstra_tolerance_starts_from_the_start_gap(self, monkeypatch,
+                                                         rho_scale, first):
+        rng = np.random.default_rng(12)
+        cfg = make_config(n=6, m=8, beta=0.25, k=8, k0=8, rho_scale=rho_scale,
+                          solver=SolverSettings(max_iters=20))
+        _, _, tols = _record_dykstra(monkeypatch)
+        solve_recover_M(_observed(rng.random((6, 8))), cfg)
+        # from zeros the gap is 1 - STOP_REL_OBJ; the face point is the bound
+        assert tols[0] == pytest.approx(first, rel=2 * STOP_REL_OBJ)
+        assert all(a >= b for a, b in zip(tols, tols[1:]))
+
+    def test_dykstra_tolerance_is_the_floor_near_the_bound(self, monkeypatch):
+        A, cfg = _near_threshold(0)
+        x0 = _start_value(cfg.n, cfg.m, cfg.beta, cfg.beta_m, cfg.rho)
+        bound = float(np.vdot(A, _face_point(A, cfg.beta_m, x0)))
+        near = (bound - STOP_REL_OBJ * max(1.0, abs(bound))
+                - 1e-3 * max(1.0, abs(bound)))
+        _, _, tols = _record_dykstra(monkeypatch)
+        _, report = solve_recover_M(_observed(A), cfg)
+        assert report.converged
+        # the best objective before each step, the start's included
+        reached = np.maximum.accumulate(
+            [x0 * float(A.sum()), *report.objective_trace[:-1]])
+        close = reached >= near
+        assert close.any() and not close[0]
+        k = int(np.argmax(close))
+        assert all(t > DYKSTRA_TOL for t in tols[:k])
+        assert all(t == DYKSTRA_TOL for t in tols[k:])
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4, 5, 6, 11, 19, 23, 42])
+    def test_tolerance_schedule_certifies_where_the_floor_does(self, monkeypatch,
+                                                              seed):
+        A, cfg = _near_threshold(seed)
+        _, _, tols = _record_dykstra(monkeypatch)
+        _, scheduled = solve_recover_M(_observed(A), cfg)
+        assert max(tols) > DYKSTRA_TOL  # the schedule left the floor
+        monkeypatch.setattr(solver, "_step_tol", lambda *args: DYKSTRA_TOL)
+        _, floor = solve_recover_M(_observed(A), cfg)
+        assert scheduled.converged and floor.converged
 
     @pytest.mark.parametrize("rho_scale", [1.0, 0.05], ids=["slack", "binding"])
     def test_report_residuals_are_those_of_the_returned_matrix(self, rho_scale):
