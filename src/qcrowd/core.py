@@ -54,10 +54,10 @@ def scalar_fields(cls) -> dict:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Knobs for the projected-subgradient solve.
+    """Knobs for the ADMM solve.
 
-    eta0 is the base step size (None = 1 / largest singular value of the
-    ratings matrix, 1 if it is 0); the step at iteration t is eta0 / sqrt(t).
+    eta0 is the constant step, 1/penalty (None = 1 / largest singular value
+    of the ratings matrix, 1 if it is 0).
     """
 
     max_iters: int = 2000

@@ -1,13 +1,10 @@
 """Recovery of the per-rater quantile matrix.
 
 Maximizes <A, M> over {0 <= M_ij <= 1, row sums <= beta_m, ||M||_* <= rho}
-by projected subgradient ascent, with Dykstra's alternating projections
-between the per-row capped box-simplex and the nuclear-norm ball. Dykstra's
-loop iterates on its nuclear correction q, which certifies from any start,
-so each step starts from the previous step's q and mixes the last
-ANDERSON_MEMORY sweeps (see dykstra_project). Each step's Dykstra tolerance
-shrinks with the ascent's remaining gap to its certificate, down to
-DYKSTRA_TOL (see _step_tol).
+by scaled ADMM (Boyd et al. 2011, section 3) between the per-row capped
+box-simplex and the nuclear-norm ball, at the constant step eta = 1/penalty.
+Each ADMM iteration is one Dykstra sweep (see dykstra_project) from the
+carried nuclear correction q, which is ADMM's scaled dual variable.
 """
 
 from __future__ import annotations
@@ -35,12 +32,10 @@ class SvdFailure(RuntimeError):
     converge."""
 
 
-# The ascent stops once its best objective is within
+# The solve stops once its polished iterate is within
 # STOP_REL_OBJ * max(1, |bound|) of the row program's optimum bound.
 STOP_REL_OBJ = 1e-6
-DYKSTRA_SWEEPS = 30  # Dykstra sweeps per projected step
-DYKSTRA_TOL = 1e-9  # Dykstra's stop test near the certificate (see _step_tol)
-ANDERSON_MEMORY = 3  # past Dykstra sweeps mixed into the next one's start
+DYKSTRA_TOL = 1e-9  # dykstra_project's default stop test
 
 
 @dataclass(frozen=True)
@@ -48,7 +43,9 @@ class SolveReport:
     """Diagnostics for one solve of the returned matrix; converged is True
     exactly when that matrix is feasible (all three residuals 0) and its
     objective is within STOP_REL_OBJ * max(1, |bound|) of the row-program
-    bound, a certified relative gap of at most STOP_REL_OBJ."""
+    bound, a certified relative gap of at most STOP_REL_OBJ.
+    objective_trace holds the objective of each step's iterate, before
+    polishing."""
 
     iterations: int
     objective: float
@@ -197,11 +194,6 @@ def project_nuclear_ball(M: np.ndarray, rho: float) -> np.ndarray:
     return P.T if wide else P
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """<a, b> by einsum, whose sum does not depend on the BLAS thread count."""
-    return float(np.einsum("ij,ij->", a, b))
-
-
 def dykstra_project(M: np.ndarray, cap: float, rho: float, max_sweeps: int,
                     tol: float = DYKSTRA_TOL,
                     q: Optional[np.ndarray] = None
@@ -209,36 +201,15 @@ def dykstra_project(M: np.ndarray, cap: float, rho: float, max_sweeps: int,
     """Approximate Euclidean projection of M onto the intersection of the
     per-row capped box-simplex and the nuclear ball; returns (x, q).
 
-    Dykstra's algorithm, run as a fixed-point iteration on its nuclear
-    correction q alone, since the row correction p = (M - q) - y is a
-    function of q. A sweep from q takes the row projection y of M - q and
-    the nuclear projection x of u = y + q; F(q) = u - x is plain Dykstra's
-    next q. The loop stops once ||x - y|| <= tol * (1 + ||x||); tol
-    defaults to DYKSTRA_TOL, and the ascent passes each step the looser
-    tolerance _step_tol allows while it is far from its target. Since
+    Dykstra's algorithm, run on its nuclear correction q alone, since the
+    row correction p = (M - q) - y is a function of q. A sweep from q takes
+    the row projection y of M - q and the nuclear projection x of u = y + q;
+    plain Dykstra's next q is F(q) = u - x. The loop stops once
+    ||x - y|| <= tol * (1 + ||x||), or after max_sweeps sweeps. Since
     x - y = q - F(q), this bounds the fixed-point residual, and at a fixed
     point M - q - x lies in the row set's normal cone at x and q in the
     ball's, which is the optimality condition of the projection. That holds
-    whatever q the loop started from, so the test certifies from any start:
-    q may be warm-started (the solver passes the previous step's
-    correction), and it may be extrapolated.
-
-    After each sweep the next q is Anderson-mixed (type II): F(q) minus the
-    combination of the last ANDERSON_MEMORY differences of F whose matching
-    differences of x - y best cancel the current x - y in least squares.
-    Dykstra is block coordinate descent on the dual
-    D(p, q) = ||M - p - q||^2 / 2 + h_rows(p) + h_ball(q), h the support
-    functions, so plain sweeps never raise D; after a sweep
-    D = ||x||^2 / 2 + <p, y> + <F(q), x>. A mixed start whose sweep raises
-    D beyond rounding is dropped, and the loop takes the plain step F from
-    the last kept sweep with an empty history. Inner products are taken by
-    einsum and combinations by explicit updates, not by BLAS, so the
-    iterates do not depend on the BLAS thread count. Mixing runs for
-    max_sweeps // 2 sweeps; if those end uncertified, the remaining sweeps
-    run plain Dykstra from the given q, and of the two uncertified ends the
-    one with the smaller ||x - y|| / (1 + ||x||) is returned. A budget of
-    2k sweeps thus certifies wherever k plain sweeps from that q do (up to
-    rounding).
+    whatever q the loop started from, so q may be warm-started.
 
     Returns x, always a nuclear projection (so inside the ball), and its
     F(q), the correction to pass as q next time. q=None stands for the zero
@@ -248,68 +219,20 @@ def dykstra_project(M: np.ndarray, cap: float, rho: float, max_sweeps: int,
     which is where the stop test (for any tol >= 0) would end the loop.
     max_sweeps = 0 returns M and the given q.
     """
-    half = max_sweeps // 2
-    first = _dykstra_sweeps(M, cap, rho, half, tol, q, mix=True)
-    if first[2]:
-        return first[:2]
-    second = _dykstra_sweeps(M, cap, rho, max_sweeps - half, tol, q, mix=False)
-    return (second if second[2] or second[3] <= first[3] else first)[:2]
-
-
-def _dykstra_sweeps(M, cap, rho, max_sweeps, tol, q, mix):
-    """The loop of dykstra_project, Anderson-mixed when mix is True; returns
-    (x, F(q), whether the stop test held, ||x - y|| / (1 + ||x||)); F(q)
-    is None while the loop has not left the zero start."""
-    Z = np.asarray(M, dtype=float)
-    x, f = Z, q
-    res = math.inf
-    g = None  # x - y of the last kept sweep
-    dual = math.inf
-    mixed = False  # whether q is an extrapolated start
-    dG, dF = [], []  # the latest differences of x - y and of F(q)
+    Z = x = np.asarray(M, dtype=float)
     for _ in range(max_sweeps):
         if q is None:
-            w = Z
             y = u = _project_rows(Z, cap)
         else:
-            w = Z - q
-            y = _project_rows(w, cap)
+            y = _project_rows(Z - q, cap)
             u = y + q
-        x_new = project_nuclear_ball(u, rho)
-        if x_new is y:  # zero start, and y lies in the ball
-            return y, None, True, 0.0
-        f_new = u - x_new
-        g_new = y - x_new
-        g_norm = float(np.linalg.norm(g_new))
-        x_norm = float(np.linalg.norm(x_new))
-        if g_norm <= tol * (1.0 + x_norm):
-            return x_new, f_new, True, g_norm / (1.0 + x_norm)
-        if not mix:
-            x, f, res = x_new, f_new, g_norm / (1.0 + x_norm)
-            q = f
-            continue
-        dual_new = 0.5 * _dot(x_new, x_new) + _dot(w - y, y) + _dot(f_new, x_new)
-        # 1e-12 relative is well above the rounding of the three sums
-        if mixed and dual_new > dual + 1e-12 * abs(dual):
-            q, mixed = f, False
-            dG.clear()
-            dF.clear()
-            continue
-        if g is not None:
-            dG.append(g_new - g)
-            dF.append(f_new - f)
-            if len(dG) > ANDERSON_MEMORY:
-                del dG[0], dF[0]
-        x, f, g, dual = x_new, f_new, g_new, dual_new
-        res = g_norm / (1.0 + x_norm)
-        q, mixed = f, bool(dG)
-        if mixed:
-            H = np.array([[_dot(a, b) for b in dG] for a in dG])
-            gamma = np.linalg.lstsq(H, np.array([_dot(a, g) for a in dG]))[0]
-            q = f.copy()
-            for c, d in zip(gamma, dF):
-                q -= c * d
-    return x, f, False, res
+        x = project_nuclear_ball(u, rho)
+        if x is y:  # zero start, and y lies in the ball
+            return y, None
+        q = u - x
+        if np.linalg.norm(x - y) <= tol * (1.0 + np.linalg.norm(x)):
+            break
+    return x, q
 
 
 def greedy_row_oracle(values: np.ndarray, cap: int) -> np.ndarray:
@@ -377,52 +300,33 @@ def _polish(M: np.ndarray, cap: float, rho: float) -> Tuple[np.ndarray, dict]:
     return X, res
 
 
-def _step_tol(target: float, reached: float, bound: float) -> float:
-    """Dykstra's tolerance for the next ascent step:
-    STOP_REL_OBJ * min(1, gap), floored at DYKSTRA_TOL, where
-    gap = (target - reached) / max(1, |bound|) is the relative distance of
-    the best objective reached so far from the stop target.
-
-    Far from the target a step is projected to at most STOP_REL_OBJ; within
-    1e-3 (relative) of it every step is projected to DYKSTRA_TOL, so the
-    steps that decide the certificate are as exact as with a fixed
-    DYKSTRA_TOL. A fixed looser tolerance is not: at the README config with
-    rho_scale 0.545, 1e-7 loses the certificate on seed 43 and 1e-6 on
-    seeds 42 to 44. The ascent's reached never decreases, so its
-    tolerances never grow.
-    """
-    gap = (target - reached) / max(1.0, abs(bound))
-    return max(DYKSTRA_TOL, STOP_REL_OBJ * min(1.0, gap))
-
-
 def solve_recover_M(ratings,
                     cfg: ExperimentConfig) -> Tuple[QuantileMatrix, SolveReport]:
     """Solve the constrained linear program for the quantile matrix.
 
-    Projected subgradient ascent M <- Pi(M + eta_t * A), where Pi is the
-    Dykstra projection onto the feasible set. It starts at the row program's
-    face point L (see _face_point) when L lies in the nuclear ball, and
-    otherwise at beta * ones (zeros when that is infeasible). Each step's
-    Dykstra projection stops at the tolerance _step_tol gives for the best
-    objective so far, the start's included: at most STOP_REL_OBJ far from
-    the target, DYKSTRA_TOL near it and from the face point. Every solve
-    takes at least one step. It stops once the best objective is within
-    STOP_REL_OBJ * max(1, |bound|) of bound = <A, L>, the row program's
-    optimum and an upper bound on the program's, or after max_iters steps.
-    Returns the best iterate by objective, polished into the feasible set
-    (see _polish). report.converged holds when the returned matrix is
-    feasible and its own objective is within that distance of bound.
+    Scaled ADMM at the constant step eta (solver.eta0, by default
+    1 / sigma_1(A)): each step is M, q <- one Dykstra sweep of M + eta * A
+    from the previous step's correction q, that is
+    X = Pi_rows(M - q + eta * A), M = Pi_nuc(X + q), q += X - M. It starts
+    at the row program's face point L (see _face_point) when L lies in the
+    nuclear ball, and otherwise at beta * ones (zeros when that is
+    infeasible), with q = 0. Every solve takes at least one step. Each
+    iterate whose objective reaches target = bound - STOP_REL_OBJ *
+    max(1, |bound|), with bound = <A, L> the row program's optimum and an
+    upper bound on the program's, is polished into the feasible set (see
+    _polish); the solve stops once the polished matrix is feasible and its
+    own objective reaches target. Otherwise it returns the polished last
+    iterate after max_iters steps. report.converged holds when the returned
+    matrix is feasible and its objective reaches target.
     """
     return _solve(ratings, cfg, face_start=True)
 
 
 def _solve(ratings, cfg: ExperimentConfig,
            face_start: bool) -> Tuple[QuantileMatrix, SolveReport]:
-    """The body of solve_recover_M. With face_start False the ascent starts
+    """The body of solve_recover_M. With face_start False the solve starts
     at beta * ones (or zeros) even when the face point lies in the ball, so
-    a test can check the ascent itself on a slack instance. Each step's
-    Dykstra tolerance is looked up through the module-level _step_tol, so
-    a test can pin it to DYKSTRA_TOL."""
+    a test can check the iteration itself on a slack instance."""
     settings = cfg.solver
     A = np.asarray(ratings.values, dtype=float)
     n, m = A.shape
@@ -437,39 +341,31 @@ def _solve(ratings, cfg: ExperimentConfig,
     else:
         M = np.full((n, m), x0)
     if settings.eta0 is not None:
-        eta0 = settings.eta0
+        eta = settings.eta0
     else:
         sigma1 = operator_norm(A)
-        eta0 = 1.0 / sigma1 if sigma1 > 1e-12 else 1.0
+        eta = 1.0 / sigma1 if sigma1 > 1e-12 else 1.0
 
     target = bound - STOP_REL_OBJ * max(1.0, abs(bound))
-    best_obj = -math.inf
-    best_M = M
-    start_obj = float(np.vdot(A, M))
-    q = None  # Dykstra's nuclear correction, carried from step to step
+    q = None  # ADMM's scaled dual, Dykstra's nuclear correction
     trace = []
     for t in range(1, settings.max_iters + 1):
-        eta = eta0 / math.sqrt(t)
-        tol = _step_tol(target, max(start_obj, best_obj), bound)
-        M, q = dykstra_project(M + eta * A, cap, rho, DYKSTRA_SWEEPS,
-                               tol=tol, q=q)
-        obj = float(np.vdot(A, M))
-        if obj > best_obj:
-            best_obj = obj
-            best_M = M
-        trace.append(best_obj)
-        if best_obj >= target:
-            break
+        M, q = dykstra_project(M + eta * A, cap, rho, 1, q=q)
+        trace.append(float(np.vdot(A, M)))
+        if trace[-1] >= target or t == settings.max_iters:
+            final, res = _polish(M, cap, rho)
+            objective = float(np.vdot(A, final))
+            converged = objective >= target and not any(res.values())
+            if converged:
+                break
 
-    final, res = _polish(best_M, cap, rho)
-    objective = float(np.vdot(A, final))
     report = SolveReport(
         iterations=len(trace),
         objective=objective,
         residual_box=res["box"],
         residual_row=res["row"],
         residual_nuc=res["nuc"],
-        converged=objective >= target and not any(res.values()),
+        converged=converged,
         objective_trace=tuple(trace),
     )
     return QuantileMatrix(final), report

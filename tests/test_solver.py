@@ -18,11 +18,11 @@ from qcrowd import (
     project_nuclear_ball,
     solve_recover_M,
 )
-from qcrowd import solver
-from qcrowd.core import feasibility_residuals
+from qcrowd import SymmetricBlocks, analysis, solver
+from qcrowd.analysis import run_trial
+from qcrowd.core import feasibility_residuals, operator_norm
 from qcrowd.solver import (
     DYKSTRA_TOL,
-    STOP_REL_OBJ,
     _face_point,
     _project_rows,
     _solve,
@@ -446,8 +446,7 @@ class TestDykstra:
 
     @settings(max_examples=150, deadline=None)
     @given(_dykstra_inputs())
-    # the mixed half of the budget stalls on a flat stretch of the dual and
-    # ends uncertified; the plain half certifies
+    # a flat stretch of Dykstra's dual
     @example((np.array([[1.0], [8.0]]), 0.5, 0.04419417382415922))
     @example((np.array([[2.22507386e-313]]), 1.0, 0.001))  # subnormal, slack
     # both certify 2.4e-6 apart: a residual of tol only bounds the distance
@@ -458,7 +457,6 @@ class TestDykstra:
         with counted_projections() as (_, last):
             want, _, want_ok = zero_start_dykstra_oracle(M, cap, rho, 200)
             want_bound = distance_bound(M, last)
-            # mixing gets half the budget, and plain sweeps the rest
             got, _ = dykstra_project(M, cap, rho, 500)
             got_ok = certified(last, 1e-9)
             got_bound = distance_bound(M, last)
@@ -568,11 +566,11 @@ def _face_inputs(draw):
 
 
 def long_ascent(A, cap, x0, max_steps=5000):
-    """The solver's ascent with the ball slack, M <- Pi_rows(M + A / sqrt(t))
-    from x0 * ones, run until a step leaves M unchanged."""
+    """The solver's iteration with the ball slack, M <- Pi_rows(M + A) at the
+    constant step 1, from x0 * ones, run until a step leaves M unchanged."""
     M = np.full(A.shape, x0)
-    for t in range(1, max_steps + 1):
-        step = _project_rows(M + A / np.sqrt(t), cap)
+    for _ in range(max_steps):
+        step = _project_rows(M + A, cap)
         if np.array_equal(step, M):
             return M
         M = step
@@ -646,19 +644,19 @@ def _observed(values):
 
 def _record_dykstra(monkeypatch):
     """Wrap solver.dykstra_project; returns the lists of the corrections
-    passed and returned and of the tolerances passed, one entry a call."""
+    passed and returned and of the sweep budgets passed, one entry a call."""
     project = solver.dykstra_project
-    passed, returned, tols = [], [], []
+    passed, returned, budgets = [], [], []
 
-    def recording(*args, tol, q=None):
+    def recording(M, cap, rho, max_sweeps, tol=DYKSTRA_TOL, q=None):
         passed.append(q)
-        tols.append(tol)
-        out = project(*args, tol=tol, q=q)
+        budgets.append(max_sweeps)
+        out = project(M, cap, rho, max_sweeps, tol=tol, q=q)
         returned.append(out[1])
         return out
 
     monkeypatch.setattr(solver, "dykstra_project", recording)
-    return passed, returned, tols
+    return passed, returned, budgets
 
 
 def _near_threshold(seed):
@@ -667,7 +665,7 @@ def _near_threshold(seed):
     the nuclear norm of the face point L of beta * ones, outside the ball,
     down to that of the greedy point, inside it. The greedy point reaches
     the bound <A, L>, so the solve can certify; on these seeds it does
-    within 60 steps."""
+    within 30 steps."""
     rng = np.random.default_rng(seed)
     A = rng.random((8, 12)) * (rng.random((8, 12)) < 0.15)
     cfg = make_config(n=8, m=12, beta=0.25, k=12, k0=12,
@@ -718,13 +716,27 @@ class TestSolveRecoverM:
         overlap = matrix.M @ r / cfg.beta_m
         assert np.all(overlap >= 0.99)
 
-    def test_best_objective_trace_nondecreasing(self):
+    @pytest.mark.parametrize("rho_scale,steps", [(1.0, 1), (0.05, 5)],
+                             ids=["slack", "binding"])
+    def test_objective_trace_has_each_iterate_objective(self, monkeypatch,
+                                                        rho_scale, steps):
+        # each step's iterate is its nuclear projection
         rng = np.random.default_rng(10)
-        cfg = make_config(n=8, m=10, beta=0.3, k=10, k0=10,
-                          solver=SolverSettings(max_iters=150))
-        _, report = solve_recover_M(_observed(rng.random((8, 10))), cfg)
-        trace = np.array(report.objective_trace)
-        assert np.all(np.diff(trace) >= 0.0)
+        cfg = make_config(n=8, m=10, beta=0.3, k=10, k0=10, rho_scale=rho_scale,
+                          solver=SolverSettings(max_iters=5))
+        A = rng.random((8, 10))
+        project = solver.project_nuclear_ball
+        iterates = []
+
+        def recording(*args):
+            iterates.append(project(*args))
+            return iterates[-1]
+
+        monkeypatch.setattr(solver, "project_nuclear_ball", recording)
+        _, report = solve_recover_M(_observed(A), cfg)
+        assert report.iterations == steps
+        assert report.objective_trace == tuple(
+            float(np.vdot(A, X)) for X in iterates)
 
     def test_oracle_dominance_under_active_nuclear_constraint(self):
         rng = np.random.default_rng(11)
@@ -845,64 +857,70 @@ class TestSolveRecoverM:
         rng = np.random.default_rng(12)
         cfg = make_config(n=6, m=8, beta=0.25, k=8, k0=8, rho_scale=0.05,
                           solver=SolverSettings(max_iters=4))
-        passed, returned, tols = _record_dykstra(monkeypatch)
+        passed, returned, budgets = _record_dykstra(monkeypatch)
         ratings = _observed(rng.random((6, 8)))
         for _ in range(2):  # a second solve starts from zero again
-            solve_recover_M(ratings, cfg)
+            with counted_projections() as (calls, _):
+                solve_recover_M(ratings, cfg)
             assert passed[0] is None
             assert all(a is not None and np.array_equal(a, b)
                        for a, b in zip(passed[1:], returned))
-            assert len(passed) == 4
-            assert all(DYKSTRA_TOL <= b <= a <= STOP_REL_OBJ
-                       for a, b in zip(tols, tols[1:]))
+            # every step is one sweep: one row and one nuclear projection
+            # (the polish adds the last row projection)
+            assert budgets == [1, 1, 1, 1]
+            assert calls["project_nuclear_ball"] == 4
+            assert calls["_project_rows"] == 5
             passed.clear()
             returned.clear()
-            tols.clear()
-
-    # rho_scale 0.02 puts beta * ones outside the ball, so the ascent starts
-    # at zeros; at 1.0 the ball is slack and it starts at the face point
-    @pytest.mark.parametrize("rho_scale,first", [(0.02, STOP_REL_OBJ),
-                                                 (1.0, DYKSTRA_TOL)],
-                             ids=["zero-start", "face-point-start"])
-    def test_dykstra_tolerance_starts_from_the_start_gap(self, monkeypatch,
-                                                         rho_scale, first):
-        rng = np.random.default_rng(12)
-        cfg = make_config(n=6, m=8, beta=0.25, k=8, k0=8, rho_scale=rho_scale,
-                          solver=SolverSettings(max_iters=20))
-        _, _, tols = _record_dykstra(monkeypatch)
-        solve_recover_M(_observed(rng.random((6, 8))), cfg)
-        # from zeros the gap is 1 - STOP_REL_OBJ; the face point is the bound
-        assert tols[0] == pytest.approx(first, rel=2 * STOP_REL_OBJ)
-        assert all(a >= b for a, b in zip(tols, tols[1:]))
-
-    def test_dykstra_tolerance_is_the_floor_near_the_bound(self, monkeypatch):
-        A, cfg = _near_threshold(0)
-        x0 = _start_value(cfg.n, cfg.m, cfg.beta, cfg.beta_m, cfg.rho)
-        bound = float(np.vdot(A, _face_point(A, cfg.beta_m, x0)))
-        near = (bound - STOP_REL_OBJ * max(1.0, abs(bound))
-                - 1e-3 * max(1.0, abs(bound)))
-        _, _, tols = _record_dykstra(monkeypatch)
-        _, report = solve_recover_M(_observed(A), cfg)
-        assert report.converged
-        # the best objective before each step, the start's included
-        reached = np.maximum.accumulate(
-            [x0 * float(A.sum()), *report.objective_trace[:-1]])
-        close = reached >= near
-        assert close.any() and not close[0]
-        k = int(np.argmax(close))
-        assert all(t > DYKSTRA_TOL for t in tols[:k])
-        assert all(t == DYKSTRA_TOL for t in tols[k:])
+            budgets.clear()
 
     @pytest.mark.parametrize("seed", [0, 1, 3, 4, 5, 6, 11, 19, 23, 42])
-    def test_tolerance_schedule_certifies_where_the_floor_does(self, monkeypatch,
-                                                              seed):
+    def test_certifies_near_the_nuclear_threshold(self, seed):
         A, cfg = _near_threshold(seed)
-        _, _, tols = _record_dykstra(monkeypatch)
-        _, scheduled = solve_recover_M(_observed(A), cfg)
-        assert max(tols) > DYKSTRA_TOL  # the schedule left the floor
-        monkeypatch.setattr(solver, "_step_tol", lambda *args: DYKSTRA_TOL)
-        _, floor = solve_recover_M(_observed(A), cfg)
-        assert scheduled.converged and floor.converged
+        _, report = solve_recover_M(_observed(A), cfg)
+        assert report.converged
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_objective_is_within_the_admm_dual_bound(self, monkeypatch, seed):
+        # tests/test_cli.py's GOOD_CONFIG at rho_scale 0.1, where the ball
+        # binds. For any Z the program's optimum is at most
+        # h_C(A - Z) + rho * sigma_1(Z), with h_C(B) = max <B, M> over the
+        # row set (the top beta_m positive entries of each row); ADMM's dual
+        # Z = q / eta makes the bound nearly tight.
+        cfg = make_config(beta=0.1667, adversary=SymmetricBlocks(block_low=0.8),
+                          rho_scale=0.1, solver=SolverSettings(max_iters=250))
+        _, returned, _ = _record_dykstra(monkeypatch)
+        solved = []
+
+        def recording_solve(ratings, cfg):
+            out = solve_recover_M(ratings, cfg)
+            solved.append((np.asarray(ratings.values, dtype=float), out[1]))
+            return out
+
+        monkeypatch.setattr(analysis, "solve_recover_M", recording_solve)
+        run_trial(cfg, seed)
+        (A, report), = solved
+        assert report.iterations == 250 and not report.converged
+        Z = returned[-1] * operator_norm(A)  # q / eta, eta = 1 / sigma_1(A)
+        B = A - Z
+        dual = (float(np.vdot(B, greedy_row_oracle(B, cfg.beta_m)))
+                + cfg.rho * float(np.linalg.norm(Z, 2)))
+        assert report.objective <= dual
+        assert (dual - report.objective) / dual <= 1e-4
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_permuting_rows_and_columns_permutes_the_solution(self, seed):
+        rng = np.random.default_rng(seed)
+        cfg = make_config(n=8, m=12, beta=0.25, k=12, k0=12, rho_scale=0.1,
+                          solver=SolverSettings(max_iters=300))
+        A = rng.random((8, 12))
+        rows, cols = rng.permutation(8), rng.permutation(12)
+        matrix, report = solve_recover_M(_observed(A), cfg)
+        permuted, permuted_report = solve_recover_M(
+            _observed(A[rows][:, cols]), cfg)
+        assert np.abs(permuted.M - matrix.M[rows][:, cols]).max() <= 1e-9
+        assert permuted_report.objective == pytest.approx(report.objective,
+                                                          rel=1e-9)
 
     @pytest.mark.parametrize("rho_scale", [1.0, 0.05], ids=["slack", "binding"])
     def test_report_residuals_are_those_of_the_returned_matrix(self, rho_scale):
