@@ -567,13 +567,20 @@ def _face_inputs(draw):
 
 def long_ascent(A, cap, x0, max_steps=5000):
     """The solver's iteration with the ball slack, M <- Pi_rows(M + A) at the
-    constant step 1, from x0 * ones, run until a step leaves M unchanged."""
+    constant step 1, from x0 * ones, run until it returns to an earlier
+    iterate; returns the cycle it has settled on, a list of matrices. At
+    the constant step rounding can keep the iterate a float away from the
+    fixed point: on ties the row search alternates between the floats on
+    either side of cap / #ties, a cycle of two."""
     M = np.full(A.shape, x0)
+    seen = [M]
+    index = {M.tobytes(): 0}
     for _ in range(max_steps):
-        step = _project_rows(M + A, cap)
-        if np.array_equal(step, M):
-            return M
-        M = step
+        M = _project_rows(M + A, cap)
+        i = index.setdefault(M.tobytes(), len(seen))
+        if i < len(seen):
+            return seen[i:]
+        seen.append(M)
     raise AssertionError("ascent did not settle")
 
 
@@ -629,10 +636,13 @@ class TestFacePoint:
     @example((np.array([[1.0, 1.0, 1.0, 0.0]]), 2, 0.5))  # a three-way tie
     @example((np.array([[0.5, 0.0, 0.0, 0.0]]), 3, 0.75))  # x0 * ties > l
     @example((np.array([[0.5, 0.0, 0.0, 0.0]]), 3, 0.0))
+    # rounding: the ascent alternates a float to either side of 1 / 3
+    @example((np.array([[0.5, 0.5, 0.5, 1.0, 1.0, 1.0]]), 1, 0.0))
     def test_is_the_limit_of_the_ascent(self, case):
         A, cap, x0 = case
         got = _face_point(A, cap, x0)
-        assert np.abs(got - long_ascent(A, cap, x0)).max() <= 1e-9
+        for M in long_ascent(A, cap, x0):
+            assert np.abs(got - M).max() <= 1e-9
 
 
 # --- full solve ----------------------------------------------------------------
