@@ -44,7 +44,6 @@ from .world import (
 from .solver import (
     SolveReport,
     SvdFailure,
-    dykstra_project,
     greedy_row_oracle,
     project_capped_box_simplex,
     project_nuclear_ball,

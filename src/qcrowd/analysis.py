@@ -123,7 +123,7 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
     """One end-to-end experiment: build a world, collect ratings, solve for
     the quantile matrix, extract a selection, and score every claim.
 
-    A solve that hits its iteration limit still yields its best iterate;
+    A solve that hits its iteration limit still yields its last iterate;
     result.solver_converged records whether the stop criterion was met.
     """
     rng_world = derive_rng(trial_seed, "world")

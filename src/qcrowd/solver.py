@@ -2,9 +2,10 @@
 
 Maximizes <A, M> over {0 <= M_ij <= 1, row sums <= beta_m, ||M||_* <= rho}
 by scaled ADMM (Boyd et al. 2011, section 3) between the per-row capped
-box-simplex and the nuclear-norm ball, at the constant step eta = 1/penalty.
-Each ADMM iteration is one Dykstra sweep (see dykstra_project) from the
-carried nuclear correction q, which is ADMM's scaled dual variable.
+box-simplex and the nuclear-norm ball, at the constant step eta = 1/penalty,
+started at the row program's face point L (see _face_point). Each step is
+one Dykstra sweep (see dykstra_project) from the carried nuclear correction
+q, which is ADMM's scaled dual variable.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .core import (
     _frobenius_certifies,
     _scaled,
     feasibility_residuals,
-    nuclear_excess,
     operator_norm,
 )
 
@@ -35,17 +35,18 @@ class SvdFailure(RuntimeError):
 # The solve stops once its polished iterate is within
 # STOP_REL_OBJ * max(1, |bound|) of the row program's optimum bound.
 STOP_REL_OBJ = 1e-6
-DYKSTRA_TOL = 1e-9  # dykstra_project's default stop test
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Diagnostics for one solve of the returned matrix; converged is True
-    exactly when that matrix is feasible (all three residuals 0) and its
-    objective is within STOP_REL_OBJ * max(1, |bound|) of the row-program
-    bound, a certified relative gap of at most STOP_REL_OBJ.
-    objective_trace holds the objective of each step's iterate, before
-    polishing."""
+    """Diagnostics for one solve, of the matrix it returns.
+
+    objective and the residuals are that matrix's. converged is True exactly
+    when the matrix is feasible (all three residuals 0) and its objective is
+    within STOP_REL_OBJ * max(1, |<A, L>|) of the row program's optimum
+    <A, L>, an upper bound on the program's: a certified relative gap.
+    objective_trace holds the objective of each step's iterate, before the
+    polish."""
 
     iterations: int
     objective: float
@@ -194,45 +195,29 @@ def project_nuclear_ball(M: np.ndarray, rho: float) -> np.ndarray:
     return P.T if wide else P
 
 
-def dykstra_project(M: np.ndarray, cap: float, rho: float, max_sweeps: int,
-                    tol: float = DYKSTRA_TOL,
+def dykstra_project(M: np.ndarray, cap: float, rho: float,
                     q: Optional[np.ndarray] = None
                     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Approximate Euclidean projection of M onto the intersection of the
-    per-row capped box-simplex and the nuclear ball; returns (x, q).
+    """One sweep of Dykstra's algorithm between the per-row capped
+    box-simplex and the nuclear ball, from the nuclear correction q;
+    returns (x, q').
 
-    Dykstra's algorithm, run on its nuclear correction q alone, since the
-    row correction p = (M - q) - y is a function of q. A sweep from q takes
-    the row projection y of M - q and the nuclear projection x of u = y + q;
-    plain Dykstra's next q is F(q) = u - x. The loop stops once
-    ||x - y|| <= tol * (1 + ||x||), or after max_sweeps sweeps. Since
-    x - y = q - F(q), this bounds the fixed-point residual, and at a fixed
-    point M - q - x lies in the row set's normal cone at x and q in the
-    ball's, which is the optimality condition of the projection. That holds
-    whatever q the loop started from, so q may be warm-started.
-
-    Returns x, always a nuclear projection (so inside the ball), and its
-    F(q), the correction to pass as q next time. q=None stands for the zero
-    correction, on input and on output. From zero the first sweep is the
-    row projection y of M followed by the nuclear projection of y; when y
-    already lies in the ball, (y, None) is returned after that one sweep,
-    which is where the stop test (for any tol >= 0) would end the loop.
-    max_sweeps = 0 returns M and the given q.
+    The row correction is not carried, since it is a function of q. The
+    sweep takes the row projection y of M - q, the nuclear projection x of
+    u = y + q, and the next correction q' = u - x. q=None stands for the
+    zero correction, on input and on output: from it u is y itself, and
+    when y already lies in the ball, (y, None) is returned. x is always a
+    nuclear projection, so it lies inside the ball.
     """
-    Z = x = np.asarray(M, dtype=float)
-    for _ in range(max_sweeps):
-        if q is None:
-            y = u = _project_rows(Z, cap)
-        else:
-            y = _project_rows(Z - q, cap)
-            u = y + q
-        x = project_nuclear_ball(u, rho)
-        if x is y:  # zero start, and y lies in the ball
-            return y, None
-        q = u - x
-        if np.linalg.norm(x - y) <= tol * (1.0 + np.linalg.norm(x)):
-            break
-    return x, q
+    if q is None:
+        y = u = _project_rows(M, cap)
+    else:
+        y = _project_rows(M - q, cap)
+        u = y + q
+    x = project_nuclear_ball(u, rho)
+    if x is y:  # zero correction, and y lies in the ball
+        return y, None
+    return x, u - x
 
 
 def greedy_row_oracle(values: np.ndarray, cap: int) -> np.ndarray:
@@ -247,13 +232,6 @@ def greedy_row_oracle(values: np.ndarray, cap: int) -> np.ndarray:
     rows = np.arange(A.shape[0])[:, None]
     rank[rows, order] = np.arange(A.shape[1])[None, :]
     return ((rank < cap) & (A > 0.0)).astype(float)
-
-
-def _start_value(n: int, m: int, beta: float, cap: int, rho: float) -> float:
-    """beta when beta * ones is feasible for all three constraints, else 0."""
-    if (beta * m <= cap) and (beta <= 1.0) and (beta * math.sqrt(n * m) <= rho):
-        return beta
-    return 0.0
 
 
 def _face_point(A: np.ndarray, cap: int, x0: float) -> np.ndarray:
@@ -305,19 +283,17 @@ def solve_recover_M(ratings,
     """Solve the constrained linear program for the quantile matrix.
 
     Scaled ADMM at the constant step eta (solver.eta0, by default
-    1 / sigma_1(A)): each step is M, q <- one Dykstra sweep of M + eta * A
-    from the previous step's correction q, that is
-    X = Pi_rows(M - q + eta * A), M = Pi_nuc(X + q), q += X - M. It starts
-    at the row program's face point L (see _face_point) when L lies in the
-    nuclear ball, and otherwise at beta * ones (zeros when that is
-    infeasible), with q = 0. Every solve takes at least one step. Each
-    iterate whose objective reaches target = bound - STOP_REL_OBJ *
-    max(1, |bound|), with bound = <A, L> the row program's optimum and an
-    upper bound on the program's, is polished into the feasible set (see
-    _polish); the solve stops once the polished matrix is feasible and its
-    own objective reaches target. Otherwise it returns the polished last
-    iterate after max_iters steps. report.converged holds when the returned
-    matrix is feasible and its objective reaches target.
+    1 / sigma_1(A)), started at the row program's face point L of
+    beta * ones (see _face_point) with q = None: each step is
+    M, q <- dykstra_project(M + eta * A, cap, rho, q), that is
+    X = Pi_rows(M - q + eta * A), M = Pi_nuc(X + q), q += X - M. bound =
+    <A, L> is the row program's optimum and an upper bound on the
+    program's. Each iterate whose objective reaches target = bound -
+    STOP_REL_OBJ * max(1, |bound|) is polished into the feasible set (see
+    _polish), and the solve stops once the polished matrix's own objective
+    reaches target; report.converged is then True. Otherwise it returns the
+    polished last iterate after max_iters steps. When L lies in the ball,
+    the first step returns L up to rounding and certifies.
     """
     return _solve(ratings, cfg, face_start=True)
 
@@ -325,21 +301,16 @@ def solve_recover_M(ratings,
 def _solve(ratings, cfg: ExperimentConfig,
            face_start: bool) -> Tuple[QuantileMatrix, SolveReport]:
     """The body of solve_recover_M. With face_start False the solve starts
-    at beta * ones (or zeros) even when the face point lies in the ball, so
-    a test can check the iteration itself on a slack instance."""
+    at beta * ones instead of L, so a test can check the iteration itself
+    on a slack instance."""
     settings = cfg.solver
     A = np.asarray(ratings.values, dtype=float)
-    n, m = A.shape
     cap = cfg.beta_m
     rho = cfg.rho
 
-    x0 = _start_value(n, m, cfg.beta, cap, rho)
-    L = _face_point(A, cap, x0)
+    L = _face_point(A, cap, cfg.beta)
     bound = float(np.vdot(A, L))
-    if face_start and nuclear_excess(L, rho) == 0.0:
-        M = L
-    else:
-        M = np.full((n, m), x0)
+    M = L if face_start else np.full(A.shape, cfg.beta)
     if settings.eta0 is not None:
         eta = settings.eta0
     else:
@@ -350,7 +321,7 @@ def _solve(ratings, cfg: ExperimentConfig,
     q = None  # ADMM's scaled dual, Dykstra's nuclear correction
     trace = []
     for t in range(1, settings.max_iters + 1):
-        M, q = dykstra_project(M + eta * A, cap, rho, 1, q=q)
+        M, q = dykstra_project(M + eta * A, cap, rho, q)
         trace.append(float(np.vdot(A, M)))
         if trace[-1] >= target or t == settings.max_iters:
             final, res = _polish(M, cap, rho)

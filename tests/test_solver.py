@@ -12,7 +12,6 @@ from qcrowd import (
     ObservedRatings,
     SolverSettings,
     SvdFailure,
-    dykstra_project,
     greedy_row_oracle,
     project_capped_box_simplex,
     project_nuclear_ball,
@@ -22,11 +21,10 @@ from qcrowd import SymmetricBlocks, analysis, solver
 from qcrowd.analysis import run_trial
 from qcrowd.core import feasibility_residuals, operator_norm
 from qcrowd.solver import (
-    DYKSTRA_TOL,
     _face_point,
     _project_rows,
     _solve,
-    _start_value,
+    dykstra_project,
 )
 
 from conftest import make_config
@@ -144,75 +142,17 @@ def _nuclear_inputs(draw):
     return M, frac
 
 
-def zero_start_dykstra_oracle(M, cap, rho, max_sweeps, tol=1e-9):
-    """Plain Dykstra: both corrections start at zero and the tol test runs
-    after every sweep. Returns (x, q, certified), calling the solver's two
-    projections by module attribute so that a monkeypatched counter sees
-    them."""
-    x = np.asarray(M, dtype=float)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for _ in range(max_sweeps):
-        y = solver._project_rows(x + p, cap)
-        p = x + p - y
-        x = solver.project_nuclear_ball(y + q, rho)
-        q = y + q - x
-        if float(np.linalg.norm(x - y)) <= tol * (1.0 + float(np.linalg.norm(x))):
-            return x, q, True
-    return x, q, False
-
-
 @contextmanager
 def counted_projections():
-    """Count the calls of the solver's two projections, and keep the last
-    row projection y, nuclear projection input u and output x, for the
-    duration."""
+    """Count the calls of the solver's two projections for the duration."""
     calls = Counter()
-    last = {}
     with pytest.MonkeyPatch.context() as mp:
-        for name, key in (("_project_rows", "y"), ("project_nuclear_ball", "x")):
-            def counted(*args, _f=getattr(solver, name), _name=name, _key=key):
+        for name in ("_project_rows", "project_nuclear_ball"):
+            def counted(*args, _f=getattr(solver, name), _name=name):
                 calls[_name] += 1
-                if _key == "x":
-                    last["u"] = args[0]
-                last[_key] = _f(*args)
-                return last[_key]
+                return _f(*args)
             mp.setattr(solver, name, counted)
-        yield calls, last
-
-
-def certified(last, tol):
-    """Whether the last sweep passes dykstra_project's stop test."""
-    x, y = last["x"], last["y"]
-    return float(np.linalg.norm(x - y)) <= tol * (1.0 + float(np.linalg.norm(x)))
-
-
-def distance_bound(Z, last):
-    """A bound on ||x - x*||, x* the exact projection of Z, from the last
-    sweep. Z - x = p + F, where p = Z - u lies in the row set's normal cone
-    at y and F = u - x in the ball's at x. With r = y - x, testing both
-    cones at x*, and x* against the feasible point min(1, rho/||y||_*) * y,
-    gives ||x - x*||^2 <= ||p|| ||r|| + ||Z|| (||r|| + ||r||_*)."""
-    x, y, u = last["x"], last["y"], last["u"]
-    r = y - x
-    nr = np.linalg.norm(r)
-    return np.sqrt(np.linalg.norm(Z - u) * nr + np.linalg.norm(Z) * (
-        nr + np.linalg.svd(r, compute_uv=False).sum()))
-
-
-@st.composite
-def _dykstra_inputs(draw):
-    """Small matrices, a cap of at most the row length, and a radius below
-    the nuclear norm of the row projection, so that the ball usually binds."""
-    n = draw(st.integers(1, 6))
-    m = draw(st.integers(1, 6))
-    M = np.array(draw(st.lists(st.lists(st.floats(-10, 10, allow_nan=False),
-                                        min_size=m, max_size=m),
-                               min_size=n, max_size=n)))
-    cap = draw(st.floats(0.25, m))
-    nuc = float(np.linalg.svd(_project_rows(M, cap), compute_uv=False).sum())
-    rho = max(draw(st.floats(0.05, 0.95)) * nuc, 1e-3)
-    return M, cap, rho
+        yield calls
 
 
 def greedy_enumeration_oracle(values, cap):
@@ -391,112 +331,37 @@ class TestDykstra:
     def test_idempotent_on_feasible_point(self):
         rng = np.random.default_rng(4)
         M = _project_rows(rng.random((6, 9)), 3.0)
-        out, q = dykstra_project(M, 3.0, 1e6, max_sweeps=10)
+        out, q = dykstra_project(M, 3.0, 1e6)
         assert np.linalg.norm(out - M) < 1e-8
         assert q is None  # the zero correction
 
-    def test_approaches_the_intersection(self):
+    @pytest.mark.parametrize("shape", [(8, 10), (10, 8)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["zero", "warm"])
+    @pytest.mark.parametrize("rho", [1e6, 3.0], ids=["slack", "binding"])
+    def test_is_one_sweep_from_the_correction(self, rho, warm, shape):
+        # X = Pi_rows(Z - q), x = Pi_nuc(X + q), q' = X + q - x, to the bit
         rng = np.random.default_rng(5)
-        M = rng.standard_normal((8, 10)) * 4
-        rho = 3.0
-        out, _ = dykstra_project(M, 2.0, rho, max_sweeps=300, tol=1e-14)
-        # ends on the nuclear projection: inside the ball exactly, with the
-        # distance to the row set shrinking as sweeps increase (the solver's
-        # final polish is what makes box/row exact)
-        assert np.linalg.svd(out, compute_uv=False).sum() <= rho + 1e-9
-        dist = np.linalg.norm(out - _project_rows(out, 2.0))
-        coarse, _ = dykstra_project(M, 2.0, rho, max_sweeps=5, tol=1e-14)
-        dist5 = np.linalg.norm(coarse - _project_rows(coarse, 2.0))
-        assert dist <= 0.05 * dist5
-
-    # tol 0.1 ends plain Dykstra's binding loop after 15 sweeps and tol 0.9
-    # after one
-    @pytest.mark.parametrize("max_sweeps", [0, 1, 5, 30])
-    @pytest.mark.parametrize("rho,tol", [(1e6, 1e-9), (3.0, 1e-9), (3.0, 0.1),
-                                         (3.0, 0.9)],
-                             ids=["slack", "binding", "binding-tol-0.1",
-                                  "binding-tol-0.9"])
-    def test_matches_zero_start_oracle(self, rho, tol, max_sweeps):
-        M = np.random.default_rng(5).standard_normal((8, 10)) * 4
-        with counted_projections() as (calls, last):
-            want, want_q, want_ok = zero_start_dykstra_oracle(M, 2.0, rho,
-                                                              max_sweeps, tol=tol)
-            want_calls = Counter(calls)
-            want_bound = distance_bound(M, last) if max_sweeps else 0.0
-            calls.clear()
-            got, got_q = dykstra_project(M, 2.0, rho, max_sweeps, tol=tol)
-            got_ok = bool(max_sweeps) and certified(last, tol)
-            got_bound = distance_bound(M, last) if max_sweeps else 0.0
+        Z = rng.standard_normal(shape) * 4
+        q = rng.standard_normal(shape) if warm else None
+        with counted_projections() as calls:
+            got, got_q = dykstra_project(Z, 2.0, rho, q)
         # the bench counts Dykstra sweeps and nuclear projections by these calls
-        assert calls["_project_rows"] == calls["project_nuclear_ball"] <= max_sweeps
-        if want_calls["_project_rows"] <= 1:
-            # the first sweep from zero is plain Dykstra's, so where the
-            # oracle stops after it the two agree to the bit
-            assert got.tobytes() == want.tobytes()
-            if got_q is None:  # the zero correction
-                assert not want_q.any()
-            else:
-                assert got_q.tobytes() == want_q.tobytes()
-            assert calls == want_calls
-            return
-        assert np.linalg.svd(got, compute_uv=False).sum() <= rho * (1.0 + 1e-12)
-        if want_ok:
-            assert got_ok
-            assert np.linalg.norm(got - want) <= want_bound + got_bound
-
-    @settings(max_examples=150, deadline=None)
-    @given(_dykstra_inputs())
-    # a flat stretch of Dykstra's dual
-    @example((np.array([[1.0], [8.0]]), 0.5, 0.04419417382415922))
-    @example((np.array([[2.22507386e-313]]), 1.0, 0.001))  # subnormal, slack
-    # both certify 2.4e-6 apart: a residual of tol only bounds the distance
-    # by about sqrt(tol)
-    @example((np.array([[2.0, 0.0], [1e-4, 0.5]]), 1.0, 0.7500000016666666))
-    def test_certifies_wherever_plain_dykstra_does(self, case):
-        M, cap, rho = case
-        with counted_projections() as (_, last):
-            want, _, want_ok = zero_start_dykstra_oracle(M, cap, rho, 200)
-            want_bound = distance_bound(M, last)
-            got, _ = dykstra_project(M, cap, rho, 500)
-            got_ok = certified(last, 1e-9)
-            got_bound = distance_bound(M, last)
-        if want_ok:
-            assert got_ok
-            assert np.linalg.norm(got - want) <= (
-                want_bound + got_bound + 1e-12 * (1.0 + np.linalg.norm(want)))
-
-    def test_warm_start_from_unrelated_correction(self):
-        rng = np.random.default_rng(7)
-        M = rng.standard_normal((6, 7)) * 2
-        q = rng.standard_normal((6, 7)) * 3
-        with counted_projections() as (_, last):
-            want, _, ok = zero_start_dykstra_oracle(M, 2.0, 3.0, 2000)
-            assert ok
-            want_bound = distance_bound(M, last)
-            got, _ = dykstra_project(M, 2.0, 3.0, 2000, q=q)
-            assert certified(last, 1e-9)
-            got_bound = distance_bound(M, last)
-        assert np.linalg.norm(got - want) <= want_bound + got_bound <= 1e-3
-
-    @pytest.mark.parametrize("max_sweeps", [1, 2, 5, 30])
-    @pytest.mark.parametrize("tol", [1e-9, 0.1, 0.9])
-    def test_warm_start_takes_one_row_and_one_nuclear_projection_per_sweep(
-            self, max_sweeps, tol):
-        # the bench counts Dykstra sweeps and nuclear projections by these calls
-        rng = np.random.default_rng(5)
-        M = rng.standard_normal((8, 10)) * 4
-        with counted_projections() as (calls, _):
-            dykstra_project(M, 2.0, 3.0, max_sweeps, tol=tol,
-                            q=rng.standard_normal((8, 10)))
-        assert calls["_project_rows"] == calls["project_nuclear_ball"]
-        assert 1 <= calls["_project_rows"] <= max_sweeps
+        assert calls == {"_project_rows": 1, "project_nuclear_ball": 1}
+        q0 = np.zeros_like(Z) if q is None else q
+        X = _project_rows(Z - q0, 2.0)
+        x = project_nuclear_ball(X + q0, rho)
+        assert got.tobytes() == x.tobytes()
+        if got_q is None:  # the zero correction
+            assert q is None and not (X + q0 - x).any()
+        else:
+            assert got_q.tobytes() == (X + q0 - x).tobytes()
 
     def test_polish_makes_box_and_rows_exact(self):
         from qcrowd.solver import _polish
         rng = np.random.default_rng(19)
         M = rng.standard_normal((8, 10)) * 4
         rho = 3.0
-        out, res = _polish(dykstra_project(M, 2.0, rho, max_sweeps=100)[0], 2.0, rho)
+        out, res = _polish(dykstra_project(M, 2.0, rho)[0], 2.0, rho)
         assert res == feasibility_residuals(out, 2, rho)
         assert res == {"box": 0.0, "row": 0.0, "nuc": 0.0}
 
@@ -653,20 +518,33 @@ def _observed(values):
 
 
 def _record_dykstra(monkeypatch):
-    """Wrap solver.dykstra_project; returns the lists of the corrections
-    passed and returned and of the sweep budgets passed, one entry a call."""
+    """Wrap solver.dykstra_project; returns the lists of the matrices and
+    corrections passed and of the corrections returned, one entry a call."""
     project = solver.dykstra_project
-    passed, returned, budgets = [], [], []
+    inputs, passed, returned = [], [], []
 
-    def recording(M, cap, rho, max_sweeps, tol=DYKSTRA_TOL, q=None):
+    def recording(M, cap, rho, q=None):
+        inputs.append(np.array(M))
         passed.append(q)
-        budgets.append(max_sweeps)
-        out = project(M, cap, rho, max_sweeps, tol=tol, q=q)
+        out = project(M, cap, rho, q)
         returned.append(out[1])
         return out
 
     monkeypatch.setattr(solver, "dykstra_project", recording)
-    return passed, returned, budgets
+    return inputs, passed, returned
+
+
+def _record_svd(monkeypatch):
+    """Wrap np.linalg.svd; returns the list of the matrices it sees."""
+    svd = np.linalg.svd
+    seen = []
+
+    def recording_svd(a, *args, **kwargs):
+        seen.append(np.array(a, dtype=float))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return seen
 
 
 def _near_threshold(seed):
@@ -774,6 +652,24 @@ class TestSolveRecoverM:
         res = feasibility_residuals(matrix.M, cfg.beta_m, cfg.rho)
         assert res["box"] <= 1e-6 and res["row"] <= 1e-6
 
+    def test_binding_solve_starts_at_the_face_point(self, monkeypatch):
+        # the ball binds (as in test_not_converged_carries_result); the first
+        # step still starts at L with the zero correction, and no SVD asks
+        # whether L lies in the ball
+        rng = np.random.default_rng(12)
+        cfg = make_config(n=6, m=8, beta=0.25, k=8, k0=8, rho_scale=0.05,
+                          solver=SolverSettings(max_iters=3))
+        A = rng.random((6, 8))
+        L = _face_point(A, cfg.beta_m, cfg.beta)
+        assert np.linalg.svd(L, compute_uv=False).sum() > cfg.rho
+        inputs, passed, _ = _record_dykstra(monkeypatch)
+        seen = _record_svd(monkeypatch)
+        solve_recover_M(_observed(A), cfg)
+        assert passed[0] is None
+        eta = 1.0 / operator_norm(A)  # the default step
+        assert inputs[0].tobytes() == (L + eta * A).tobytes()
+        assert not any(np.array_equal(a, L) for a in seen)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1),
            st.sampled_from([0.02, 0.1, 0.5, 1.0, 10.0]))
@@ -803,8 +699,7 @@ class TestSolveRecoverM:
                           solver=SolverSettings(max_iters=3))
         A = rng.random((6, 8))
         matrix, report = solve_recover_M(_observed(A), cfg)
-        x0 = _start_value(6, 8, cfg.beta, cfg.beta_m, cfg.rho)
-        bound = float(np.vdot(A, _face_point(A, cfg.beta_m, x0)))
+        bound = float(np.vdot(A, _face_point(A, cfg.beta_m, cfg.beta)))
         res = feasibility_residuals(matrix.M, cfg.beta_m, cfg.rho)
         assert report.objective == float(np.vdot(A, matrix.M))
         assert report.converged == (
@@ -852,14 +747,7 @@ class TestSolveRecoverM:
         rng = np.random.default_rng(12)
         cfg = make_config(n=6, m=8, beta=0.25, k=8, k0=8, rho_scale=0.05,
                           solver=SolverSettings(max_iters=3))
-        svd = np.linalg.svd
-        seen = []
-
-        def recording_svd(a, *args, **kwargs):
-            seen.append(np.array(a, dtype=float))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        seen = _record_svd(monkeypatch)
         matrix, _ = solve_recover_M(_observed(rng.random((6, 8))), cfg)
         assert sum(np.array_equal(a, matrix.M) for a in seen) == 1
 
@@ -867,22 +755,20 @@ class TestSolveRecoverM:
         rng = np.random.default_rng(12)
         cfg = make_config(n=6, m=8, beta=0.25, k=8, k0=8, rho_scale=0.05,
                           solver=SolverSettings(max_iters=4))
-        passed, returned, budgets = _record_dykstra(monkeypatch)
+        _, passed, returned = _record_dykstra(monkeypatch)
         ratings = _observed(rng.random((6, 8)))
         for _ in range(2):  # a second solve starts from zero again
-            with counted_projections() as (calls, _):
+            with counted_projections() as calls:
                 solve_recover_M(ratings, cfg)
             assert passed[0] is None
             assert all(a is not None and np.array_equal(a, b)
                        for a, b in zip(passed[1:], returned))
             # every step is one sweep: one row and one nuclear projection
             # (the polish adds the last row projection)
-            assert budgets == [1, 1, 1, 1]
-            assert calls["project_nuclear_ball"] == 4
+            assert len(passed) == calls["project_nuclear_ball"] == 4
             assert calls["_project_rows"] == 5
             passed.clear()
             returned.clear()
-            budgets.clear()
 
     @pytest.mark.parametrize("seed", [0, 1, 3, 4, 5, 6, 11, 19, 23, 42])
     def test_certifies_near_the_nuclear_threshold(self, seed):
@@ -899,7 +785,7 @@ class TestSolveRecoverM:
         # Z = q / eta makes the bound nearly tight.
         cfg = make_config(beta=0.1667, adversary=SymmetricBlocks(block_low=0.8),
                           rho_scale=0.1, solver=SolverSettings(max_iters=250))
-        _, returned, _ = _record_dykstra(monkeypatch)
+        _, _, returned = _record_dykstra(monkeypatch)
         solved = []
 
         def recording_solve(ratings, cfg):
@@ -951,14 +837,3 @@ class TestSolveRecoverM:
         assert report.residual_row <= 1e-6
         assert report.residual_nuc <= 1e-4
 
-
-class TestInitialPoint:
-    def test_uniform_start_when_feasible(self):
-        assert _start_value(4, 10, beta=0.2, cap=2, rho=100.0) == 0.2
-
-    def test_fallback_to_zero_when_row_sum_exceeds_cap(self):
-        # beta * m = 2.4 rounds down to cap 2: uniform start infeasible
-        assert _start_value(4, 8, beta=0.3, cap=2, rho=100.0) == 0.0
-
-    def test_fallback_to_zero_when_nuclear_bound_tight(self):
-        assert _start_value(10, 10, beta=0.5, cap=5, rho=1.0) == 0.0
