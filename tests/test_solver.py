@@ -144,15 +144,87 @@ def _nuclear_inputs(draw):
 
 @contextmanager
 def counted_projections():
-    """Count the calls of the solver's two projections for the duration."""
+    """Count the calls of the solver's two projections, and keep the last
+    row projection y, nuclear projection input u and output x, for the
+    duration."""
     calls = Counter()
+    last = {}
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_project_rows", "project_nuclear_ball"):
-            def counted(*args, _f=getattr(solver, name), _name=name):
+        for name, key in (("_project_rows", "y"), ("project_nuclear_ball", "x")):
+            def counted(*args, _f=getattr(solver, name), _name=name, _key=key):
                 calls[_name] += 1
-                return _f(*args)
+                if _key == "x":
+                    last["u"] = args[0]
+                last[_key] = _f(*args)
+                return last[_key]
             mp.setattr(solver, name, counted)
-        yield calls
+        yield calls, last
+
+
+def zero_start_dykstra_oracle(M, cap, rho, max_sweeps, tol=1e-9):
+    """Plain Dykstra: both corrections start at zero, the row correction p
+    is carried beside the nuclear correction q, and the tol test runs after
+    every sweep. Returns (x, q, certified), calling the solver's two
+    projections by module attribute so that counted_projections sees them."""
+    x = np.asarray(M, dtype=float)
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    for _ in range(max_sweeps):
+        y = solver._project_rows(x + p, cap)
+        p = x + p - y
+        x = solver.project_nuclear_ball(y + q, rho)
+        q = y + q - x
+        if float(np.linalg.norm(x - y)) <= tol * (1.0 + float(np.linalg.norm(x))):
+            return x, q, True
+    return x, q, False
+
+
+def chained_sweeps(M, cap, rho, max_sweeps, q=None, last=None, tol=1e-9):
+    """Dykstra's algorithm built from one-sweep calls: dykstra_project gets
+    back the correction its last call returned, up to max_sweeps times,
+    from q. Given the last dict of an enclosing counted_projections, it
+    stops after the first sweep that passes plain Dykstra's tol test.
+    Returns (x, q')."""
+    x = np.asarray(M, dtype=float)
+    for _ in range(max_sweeps):
+        x, q = dykstra_project(M, cap, rho, q)
+        if last is not None and certified(last, tol):
+            break
+    return x, q
+
+
+def certified(last, tol):
+    """Whether the last sweep passes plain Dykstra's stop test."""
+    x, y = last["x"], last["y"]
+    return float(np.linalg.norm(x - y)) <= tol * (1.0 + float(np.linalg.norm(x)))
+
+
+def distance_bound(Z, last):
+    """A bound on ||x - x*||, x* the exact projection of Z, from the last
+    sweep. Z - x = p + F, where p = Z - u lies in the row set's normal cone
+    at y and F = u - x in the ball's at x. With r = y - x, testing both
+    cones at x*, and x* against the feasible point min(1, rho/||y||_*) * y,
+    gives ||x - x*||^2 <= ||p|| ||r|| + ||Z|| (||r|| + ||r||_*)."""
+    x, y, u = last["x"], last["y"], last["u"]
+    r = y - x
+    nr = np.linalg.norm(r)
+    return np.sqrt(np.linalg.norm(Z - u) * nr + np.linalg.norm(Z) * (
+        nr + np.linalg.svd(r, compute_uv=False).sum()))
+
+
+@st.composite
+def _dykstra_inputs(draw):
+    """Small matrices, a cap of at most the row length, and a radius below
+    the nuclear norm of the row projection, so that the ball usually binds."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    M = np.array(draw(st.lists(st.lists(st.floats(-10, 10, allow_nan=False),
+                                        min_size=m, max_size=m),
+                               min_size=n, max_size=n)))
+    cap = draw(st.floats(0.25, m))
+    nuc = float(np.linalg.svd(_project_rows(M, cap), compute_uv=False).sum())
+    rho = max(draw(st.floats(0.05, 0.95)) * nuc, 1e-3)
+    return M, cap, rho
 
 
 def greedy_enumeration_oracle(values, cap):
@@ -343,7 +415,7 @@ class TestDykstra:
         rng = np.random.default_rng(5)
         Z = rng.standard_normal(shape) * 4
         q = rng.standard_normal(shape) if warm else None
-        with counted_projections() as calls:
+        with counted_projections() as (calls, _):
             got, got_q = dykstra_project(Z, 2.0, rho, q)
         # the bench counts Dykstra sweeps and nuclear projections by these calls
         assert calls == {"_project_rows": 1, "project_nuclear_ball": 1}
@@ -355,6 +427,79 @@ class TestDykstra:
             assert q is None and not (X + q0 - x).any()
         else:
             assert got_q.tobytes() == (X + q0 - x).tobytes()
+
+    @pytest.mark.parametrize("sweeps", [1, 2, 5, 30])
+    @pytest.mark.parametrize("shape", [(8, 10), (10, 8)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("rho", [1e6, 3.0], ids=["slack", "binding"])
+    def test_chained_sweeps_are_plain_dykstra(self, rho, shape, sweeps):
+        # the row correction of plain Dykstra is M - x - q, so carrying q
+        # alone loses nothing: the two agree up to rounding, and to the bit
+        # while the ball is slack or for the first sweep
+        M = np.random.default_rng(5).standard_normal(shape) * 4
+        want, want_q, _ = zero_start_dykstra_oracle(M, 2.0, rho, sweeps, tol=0.0)
+        with counted_projections() as (calls, _):
+            got, got_q = chained_sweeps(M, 2.0, rho, sweeps)
+        # the bench counts Dykstra sweeps and nuclear projections by these calls
+        assert calls == {"_project_rows": sweeps, "project_nuclear_ball": sweeps}
+        if got_q is None:  # the zero correction
+            assert not want_q.any()
+            got_q = np.zeros_like(M)
+        if rho > 1e3 or sweeps == 1:
+            assert got.tobytes() == want.tobytes()
+            assert got_q.tobytes() == want_q.tobytes()
+        scale = 1e-12 * (1.0 + np.linalg.norm(M))
+        assert np.abs(got - want).max() <= scale
+        assert np.abs(got_q - want_q).max() <= scale
+
+    def test_chained_sweeps_approach_the_intersection(self):
+        rng = np.random.default_rng(5)
+        M = rng.standard_normal((8, 10)) * 4
+        rho = 3.0
+        out, _ = chained_sweeps(M, 2.0, rho, 300)
+        # each sweep ends on the nuclear projection: inside the ball exactly,
+        # with the distance to the row set shrinking as sweeps increase (the
+        # solver's final polish is what makes box/row exact)
+        assert np.linalg.svd(out, compute_uv=False).sum() <= rho + 1e-9
+        dist = np.linalg.norm(out - _project_rows(out, 2.0))
+        coarse, _ = chained_sweeps(M, 2.0, rho, 5)
+        dist5 = np.linalg.norm(coarse - _project_rows(coarse, 2.0))
+        assert dist <= 0.05 * dist5
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dykstra_inputs())
+    # a flat stretch of Dykstra's dual
+    @example((np.array([[1.0], [8.0]]), 0.5, 0.04419417382415922))
+    @example((np.array([[2.22507386e-313]]), 1.0, 0.001))  # subnormal, slack
+    # both certify 2.4e-6 apart: a residual of tol only bounds the distance
+    # by about sqrt(tol)
+    @example((np.array([[2.0, 0.0], [1e-4, 0.5]]), 1.0, 0.7500000016666666))
+    def test_chained_sweeps_certify_wherever_plain_dykstra_does(self, case):
+        M, cap, rho = case
+        with counted_projections() as (_, last):
+            want, _, want_ok = zero_start_dykstra_oracle(M, cap, rho, 200)
+            want_bound = distance_bound(M, last)
+            got, _ = chained_sweeps(M, cap, rho, 500, last=last)
+            got_ok = certified(last, 1e-9)
+            got_bound = distance_bound(M, last)
+        if want_ok:
+            assert got_ok
+            assert np.linalg.norm(got - want) <= (
+                want_bound + got_bound + 1e-12 * (1.0 + np.linalg.norm(want)))
+
+    def test_chained_sweeps_from_an_unrelated_correction(self):
+        # Dykstra is block coordinate ascent on the dual, so it reaches the
+        # projection of M from any nuclear correction
+        rng = np.random.default_rng(7)
+        M = rng.standard_normal((6, 7)) * 2
+        q = rng.standard_normal((6, 7)) * 3
+        with counted_projections() as (_, last):
+            want, _, ok = zero_start_dykstra_oracle(M, 2.0, 3.0, 2000)
+            assert ok
+            want_bound = distance_bound(M, last)
+            got, _ = chained_sweeps(M, 2.0, 3.0, 2000, q=q, last=last)
+            assert certified(last, 1e-9)
+            got_bound = distance_bound(M, last)
+        assert np.linalg.norm(got - want) <= want_bound + got_bound <= 1e-3
 
     def test_polish_makes_box_and_rows_exact(self):
         from qcrowd.solver import _polish
@@ -553,7 +698,7 @@ def _near_threshold(seed):
     the nuclear norm of the face point L of beta * ones, outside the ball,
     down to that of the greedy point, inside it. The greedy point reaches
     the bound <A, L>, so the solve can certify; on these seeds it does
-    within 30 steps."""
+    within 7 steps from L, and within 20 from beta * ones."""
     rng = np.random.default_rng(seed)
     A = rng.random((8, 12)) * (rng.random((8, 12)) < 0.15)
     cfg = make_config(n=8, m=12, beta=0.25, k=12, k0=12,
@@ -670,6 +815,33 @@ class TestSolveRecoverM:
         assert inputs[0].tobytes() == (L + eta * A).tobytes()
         assert not any(np.array_equal(a, L) for a in seen)
 
+    # where the removed start rule began at beta * ones, and the two cases
+    # where it fell back to zeros
+    @pytest.mark.parametrize("n,m,beta,rho_scale,over_rows,over_ball", [
+        (6, 8, 0.25, 1.0, False, False), (6, 8, 0.3, 1.0, True, False),
+        (10, 10, 0.5, 0.03, False, True)],
+        ids=["uniform-feasible", "row-sum-over-cap", "nuclear-tight"])
+    def test_every_solve_starts_at_the_face_point(self, monkeypatch, n, m, beta,
+                                                  rho_scale, over_rows,
+                                                  over_ball):
+        rng = np.random.default_rng(21)
+        cfg = make_config(n=n, m=m, beta=beta, k=m, k0=m, rho_scale=rho_scale,
+                          solver=SolverSettings(max_iters=3))
+        A = rng.random((n, m))
+        L = _face_point(A, cfg.beta_m, cfg.beta)
+        uniform = np.full((n, m), beta)
+        assert (uniform.sum(axis=1).max() > cfg.beta_m) == over_rows
+        assert (np.linalg.svd(uniform, compute_uv=False).sum() > cfg.rho
+                ) == over_ball
+        inputs, passed, _ = _record_dykstra(monkeypatch)
+        seen = _record_svd(monkeypatch)
+        solve_recover_M(_observed(A), cfg)
+        assert passed[0] is None
+        eta = 1.0 / operator_norm(A)  # the default step
+        assert inputs[0].tobytes() == (L + eta * A).tobytes()
+        assert not any(np.array_equal(a, L) or np.array_equal(a, uniform)
+                       for a in seen)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1),
            st.sampled_from([0.02, 0.1, 0.5, 1.0, 10.0]))
@@ -758,7 +930,7 @@ class TestSolveRecoverM:
         _, passed, returned = _record_dykstra(monkeypatch)
         ratings = _observed(rng.random((6, 8)))
         for _ in range(2):  # a second solve starts from zero again
-            with counted_projections() as calls:
+            with counted_projections() as (calls, _):
                 solve_recover_M(ratings, cfg)
             assert passed[0] is None
             assert all(a is not None and np.array_equal(a, b)
@@ -775,6 +947,16 @@ class TestSolveRecoverM:
         A, cfg = _near_threshold(seed)
         _, report = solve_recover_M(_observed(A), cfg)
         assert report.converged
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4, 5, 6, 11, 19, 23, 42])
+    def test_face_start_certifies_near_the_threshold_sooner(self, seed):
+        # the face point is the optimum of the row program, so the ascent
+        # from it has less ground to cover than from beta * ones
+        A, cfg = _near_threshold(seed)
+        _, report = solve_recover_M(_observed(A), cfg)
+        _, uniform = _solve(_observed(A), cfg, face_start=False)
+        assert report.converged and report.iterations <= 10
+        assert report.iterations < uniform.iterations
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_objective_is_within_the_admm_dual_bound(self, monkeypatch, seed):
