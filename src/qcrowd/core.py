@@ -56,8 +56,8 @@ def scalar_fields(cls) -> dict:
 class SolverSettings:
     """Knobs for the ADMM solve.
 
-    eta0 is the constant step, 1/penalty (None = 1 / largest singular value
-    of the ratings matrix, 1 if it is 0).
+    eta0 is the constant step, 1/penalty (None = ||L||_F / ||A||_F, derived
+    by solver.solve_recover_M from the ratings A and its face point L).
     """
 
     max_iters: int = 2000

@@ -2,10 +2,10 @@
 
 Maximizes <A, M> over {0 <= M_ij <= 1, row sums <= beta_m, ||M||_* <= rho}
 by scaled ADMM (Boyd et al. 2011, section 3) between the per-row capped
-box-simplex and the nuclear-norm ball, at the constant step eta = 1/penalty,
-started at the row program's face point L (see _face_point). Each step is
-one Dykstra sweep (see dykstra_project) from the carried nuclear correction
-q, which is ADMM's scaled dual variable.
+box-simplex and the nuclear-norm ball, at the scale-free constant step
+eta = 1/penalty = ||L||_F / ||A||_F, started at the row program's face point
+L (see _face_point). Each step is one Dykstra sweep (see dykstra_project)
+from the carried nuclear correction q, which is ADMM's scaled dual variable.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .core import (
     _frobenius_certifies,
     _scaled,
     feasibility_residuals,
-    operator_norm,
 )
 
 
@@ -282,9 +281,9 @@ def solve_recover_M(ratings,
                     cfg: ExperimentConfig) -> Tuple[QuantileMatrix, SolveReport]:
     """Solve the constrained linear program for the quantile matrix.
 
-    Scaled ADMM at the constant step eta (solver.eta0, by default
-    1 / sigma_1(A)), started at the row program's face point L of
-    beta * ones (see _face_point) with q = None: each step is
+    Scaled ADMM at the constant step eta = ||L||_F / ||A||_F (1 when A is
+    zero; solver.eta0 when set), started at the row program's face point L
+    of beta * ones (see _face_point) with q = None: each step is
     M, q <- dykstra_project(M + eta * A, cap, rho, q), that is
     X = Pi_rows(M - q + eta * A), M = Pi_nuc(X + q), q += X - M. bound =
     <A, L> is the row program's optimum and an upper bound on the
@@ -293,16 +292,16 @@ def solve_recover_M(ratings,
     _polish), and the solve stops once the polished matrix's own objective
     reaches target; report.converged is then True. Otherwise it returns the
     polished last iterate after max_iters steps. When L lies in the ball,
-    the first step returns L up to rounding and certifies.
+    the first step returns L up to rounding and certifies. A -> c * A
+    (c = 2**j) leaves L, eta * A and so every iterate bit for bit the same.
     """
     return _solve(ratings, cfg, face_start=True)
 
 
 def _solve(ratings, cfg: ExperimentConfig,
            face_start: bool) -> Tuple[QuantileMatrix, SolveReport]:
-    """The body of solve_recover_M. With face_start False the solve starts
-    at beta * ones instead of L, so a test can check the iteration itself
-    on a slack instance."""
+    """The body of solve_recover_M. face_start False starts at beta * ones,
+    not L (eta still comes from L), so tests can check the slack ascent."""
     settings = cfg.solver
     A = np.asarray(ratings.values, dtype=float)
     cap = cfg.beta_m
@@ -313,9 +312,9 @@ def _solve(ratings, cfg: ExperimentConfig,
     M = L if face_start else np.full(A.shape, cfg.beta)
     if settings.eta0 is not None:
         eta = settings.eta0
-    else:
-        sigma1 = operator_norm(A)
-        eta = 1.0 / sigma1 if sigma1 > 1e-12 else 1.0
+    else:  # einsum, not BLAS, so eta's bits do not depend on BLAS threads
+        aa, ll = (float(np.einsum("ij,ij->", X, X)) for X in (A, L))
+        eta = math.sqrt(ll) / math.sqrt(aa) if aa > 0.0 else 1.0
 
     target = bound - STOP_REL_OBJ * max(1.0, abs(bound))
     q = None  # ADMM's scaled dual, Dykstra's nuclear correction

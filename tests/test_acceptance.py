@@ -178,7 +178,7 @@ def trend_results():
             cfg = ExperimentConfig(
                 n=200, m=200, alpha=0.3, beta=0.2, epsilon=0.2, delta=0.1,
                 k=k, k0=100, noise="noiseless", truth="uniform", adversary=adv,
-                solver=SolverSettings(max_iters=400, eta0=0.1))
+                solver=SolverSettings(max_iters=400))
             results = [run_trial(cfg, 60000 + s) for s in range(20)]
             _track(results, cfg)
             out[(type(adv).__name__, k)] = results
@@ -237,7 +237,7 @@ def test_criterion_08_deviation_concentration():
     cfg = ExperimentConfig(
         n=n, m=600, alpha=alpha, beta=beta, epsilon=eps, delta=delta,
         k=30, k0=k0, adversary=SymmetricBlocks(),
-        solver=SolverSettings(max_iters=60, eta0=0.1))
+        solver=SolverSettings(max_iters=60))
     trials = 200
     results = [run_trial(cfg, 81000 + s) for s in range(trials)]
     _track(results, cfg)
@@ -281,7 +281,7 @@ def test_criterion_10_monotonicity_transfer(trend_results):
     cfg = ExperimentConfig(
         n=60, m=60, alpha=0.5, beta=0.2, epsilon=0.2, delta=0.1, k=30, k0=30,
         L=2.0, noise="noiseless", adversary=SymmetricBlocks(block_low=0.8),
-        solver=SolverSettings(max_iters=300, eta0=0.1))
+        solver=SolverSettings(max_iters=300))
     affine = [run_trial(cfg, 62000 + s) for s in range(10)]
     _track(affine, cfg)
     worst_affine = max(r.gap_r - cfg.L * r.gap_a for r in affine)

@@ -1,4 +1,8 @@
 import itertools
+import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
@@ -19,7 +23,7 @@ from qcrowd import (
 )
 from qcrowd import SymmetricBlocks, analysis, solver
 from qcrowd.analysis import run_trial
-from qcrowd.core import feasibility_residuals, operator_norm
+from qcrowd.core import feasibility_residuals
 from qcrowd.solver import (
     _face_point,
     _project_rows,
@@ -679,17 +683,26 @@ def _record_dykstra(monkeypatch):
     return inputs, passed, returned
 
 
-def _record_svd(monkeypatch):
-    """Wrap np.linalg.svd; returns the list of the matrices it sees."""
-    svd = np.linalg.svd
+def _record_decompositions(monkeypatch, names=("svd",)):
+    """Wrap the np.linalg functions names, by default svd alone; returns the
+    list of the matrices they see."""
     seen = []
 
-    def recording_svd(a, *args, **kwargs):
-        seen.append(np.array(a, dtype=float))
-        return svd(a, *args, **kwargs)
+    def wrap(decompose):
+        def recording(a, *args, **kwargs):
+            seen.append(np.array(a, dtype=float))
+            return decompose(a, *args, **kwargs)
+        return recording
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, wrap(getattr(np.linalg, name)))
     return seen
+
+
+def _derived_step(A, L):
+    """The solver's default step ||L||_F / ||A||_F, summed as it sums it."""
+    return (math.sqrt(np.einsum("ij,ij->", L, L))
+            / math.sqrt(np.einsum("ij,ij->", A, A)))
 
 
 def _near_threshold(seed):
@@ -698,7 +711,7 @@ def _near_threshold(seed):
     the nuclear norm of the face point L of beta * ones, outside the ball,
     down to that of the greedy point, inside it. The greedy point reaches
     the bound <A, L>, so the solve can certify; on these seeds it does
-    within 7 steps from L, and within 20 from beta * ones."""
+    within 4-7 steps from L, and within 5-12 from beta * ones."""
     rng = np.random.default_rng(seed)
     A = rng.random((8, 12)) * (rng.random((8, 12)) < 0.15)
     cfg = make_config(n=8, m=12, beta=0.25, k=12, k0=12,
@@ -808,10 +821,10 @@ class TestSolveRecoverM:
         L = _face_point(A, cfg.beta_m, cfg.beta)
         assert np.linalg.svd(L, compute_uv=False).sum() > cfg.rho
         inputs, passed, _ = _record_dykstra(monkeypatch)
-        seen = _record_svd(monkeypatch)
+        seen = _record_decompositions(monkeypatch)
         solve_recover_M(_observed(A), cfg)
         assert passed[0] is None
-        eta = 1.0 / operator_norm(A)  # the default step
+        eta = _derived_step(A, L)
         assert inputs[0].tobytes() == (L + eta * A).tobytes()
         assert not any(np.array_equal(a, L) for a in seen)
 
@@ -834,10 +847,10 @@ class TestSolveRecoverM:
         assert (np.linalg.svd(uniform, compute_uv=False).sum() > cfg.rho
                 ) == over_ball
         inputs, passed, _ = _record_dykstra(monkeypatch)
-        seen = _record_svd(monkeypatch)
+        seen = _record_decompositions(monkeypatch)
         solve_recover_M(_observed(A), cfg)
         assert passed[0] is None
-        eta = 1.0 / operator_norm(A)  # the default step
+        eta = _derived_step(A, L)
         assert inputs[0].tobytes() == (L + eta * A).tobytes()
         assert not any(np.array_equal(a, L) or np.array_equal(a, uniform)
                        for a in seen)
@@ -879,26 +892,36 @@ class TestSolveRecoverM:
             and res == {"box": 0.0, "row": 0.0, "nuc": 0.0})
         assert report.converged == certified
 
-    def test_default_step_is_one_over_the_operator_norm(self, monkeypatch):
+    def test_default_step_is_the_norm_ratio_of_face_point_and_ratings(
+            self, monkeypatch):
+        # the binding config of test_not_converged_carries_result
         rng = np.random.default_rng(16)
         A = rng.random((6, 8))
-        norm = solver.operator_norm
-        calls = []
-
-        def counted(M):
-            calls.append(np.array(M))
-            return norm(M)
-
-        monkeypatch.setattr(solver, "operator_norm", counted)
         cfg = make_config(n=6, m=8, beta=0.25, k=8, k0=8, rho_scale=0.05,
                           solver=SolverSettings(max_iters=4))
+        L = _face_point(A, cfg.beta_m, cfg.beta)
+        eta = _derived_step(A, L)
+        inputs, _, _ = _record_dykstra(monkeypatch)
+        seen = _record_decompositions(monkeypatch, ("eigh", "eigvalsh", "svd"))
         default = solve_recover_M(_observed(A), cfg)
-        assert len(calls) == 1 and np.array_equal(calls[0], A)
+        assert inputs[0].tobytes() == (L + eta * A).tobytes()
+        # no decomposition sees A: the solve at the same step, given, makes
+        # exactly the same ones
+        assert not any(np.array_equal(a, A) or np.array_equal(a, A.T)
+                       for a in seen)
+        decomposed = len(seen)
         explicit = solve_recover_M(_observed(A), replace(
-            cfg, solver=SolverSettings(max_iters=4, eta0=1.0 / norm(A))))
-        assert len(calls) == 1  # a set eta0 needs no sigma_1
+            cfg, solver=SolverSettings(max_iters=4, eta0=eta)))
+        assert len(seen) == 2 * decomposed
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(seen[:decomposed], seen[decomposed:]))
         assert np.array_equal(default[0].M, explicit[0].M)
         assert default[1] == explicit[1]
+        # a set eta0 is used as given
+        inputs.clear()
+        solve_recover_M(_observed(A), replace(
+            cfg, solver=SolverSettings(max_iters=4, eta0=0.5)))
+        assert inputs[0].tobytes() == (L + 0.5 * A).tobytes()
 
     def test_slack_solve_starts_at_the_face_point(self):
         rng = np.random.default_rng(14)
@@ -919,7 +942,7 @@ class TestSolveRecoverM:
         rng = np.random.default_rng(12)
         cfg = make_config(n=6, m=8, beta=0.25, k=8, k0=8, rho_scale=0.05,
                           solver=SolverSettings(max_iters=3))
-        seen = _record_svd(monkeypatch)
+        seen = _record_decompositions(monkeypatch)
         matrix, _ = solve_recover_M(_observed(rng.random((6, 8))), cfg)
         assert sum(np.array_equal(a, matrix.M) for a in seen) == 1
 
@@ -979,7 +1002,8 @@ class TestSolveRecoverM:
         run_trial(cfg, seed)
         (A, report), = solved
         assert report.iterations == 250 and not report.converged
-        Z = returned[-1] * operator_norm(A)  # q / eta, eta = 1 / sigma_1(A)
+        eta = _derived_step(A, _face_point(A, cfg.beta_m, cfg.beta))
+        Z = returned[-1] / eta  # q / eta
         B = A - Z
         dual = (float(np.vdot(B, greedy_row_oracle(B, cfg.beta_m)))
                 + cfg.rho * float(np.linalg.norm(Z, 2)))
@@ -1019,3 +1043,63 @@ class TestSolveRecoverM:
         assert report.residual_row <= 1e-6
         assert report.residual_nuc <= 1e-4
 
+
+    @pytest.mark.parametrize("rho_scale,steps", [(1.0, 1), (0.05, 30)],
+                             ids=["slack", "binding"])
+    @pytest.mark.parametrize("c", [0.5, 0.125])
+    def test_scaling_the_ratings_by_a_power_of_two_scales_only_the_objective(
+            self, rho_scale, steps, c):
+        # the step ||L||_F / ||A||_F scales by 1 / c and L not at all, so
+        # eta * A and every iterate keep their bits; with |<cA, L>| >= 1 the
+        # stop target scales exactly too
+        rng = np.random.default_rng(17)
+        cfg = make_config(n=8, m=10, beta=0.3, k=10, k0=10, rho_scale=rho_scale,
+                          solver=SolverSettings(max_iters=30))
+        A = rng.random((8, 10))
+        L = _face_point(A, cfg.beta_m, cfg.beta)
+        assert c * float(np.vdot(A, L)) >= 1.0
+        matrix, report = solve_recover_M(_observed(A), cfg)
+        scaled, scaled_report = solve_recover_M(_observed(c * A), cfg)
+        assert report.iterations == steps
+        assert scaled.M.tobytes() == matrix.M.tobytes()
+        assert scaled_report == replace(
+            report, objective=c * report.objective,
+            objective_trace=tuple(c * t for t in report.objective_trace))
+
+
+# README config, trial seed 42; run in a fresh process per BLAS thread count
+_BLAS_PROBE = """
+import hashlib
+from qcrowd import (ExperimentConfig, SolverSettings, SymmetricBlocks,
+                    analysis, solver)
+cfg = ExperimentConfig(n=200, m=200, alpha=0.3, beta=0.2, epsilon=0.2,
+                       delta=0.1, k=50, k0=100, rho_scale={rho_scale},
+                       adversary=SymmetricBlocks(block_low=0.8),
+                       solver=SolverSettings(max_iters={max_iters}))
+def solve(ratings, cfg):
+    matrix, report = solver.solve_recover_M(ratings, cfg)
+    print(hashlib.sha256(matrix.M.tobytes()).hexdigest(), report.iterations)
+    return matrix, report
+analysis.solve_recover_M = solve
+analysis.run_trial(cfg, 42)
+"""
+
+
+@pytest.mark.parametrize("rho_scale,max_iters,steps", [(1.0, 400, 1),
+                                                      (0.2, 5, 5)],
+                         ids=["slack", "binding"])
+def test_solve_is_the_same_at_one_and_two_blas_threads(rho_scale, max_iters,
+                                                       steps):
+    # the step's norms are summed by einsum: BLAS's ddot splits a long sum
+    # across threads, which moves its last bits and, through eta, M's
+    code = _BLAS_PROBE.format(rho_scale=rho_scale, max_iters=max_iters)
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        out.append(run.stdout)
+    assert out[0] == out[1]
+    assert out[0].split()[1] == str(steps)
