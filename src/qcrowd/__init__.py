@@ -32,9 +32,7 @@ from .world import (
     AntiCorrelated,
     DenseHalfPositive,
     MirroredCopy,
-    ProfileError,
     RandomSpam,
-    StrategyError,
     SymmetricBlocks,
     WorldModel,
     affine_monotone_profile,
@@ -43,14 +41,12 @@ from .world import (
 )
 from .solver import (
     SolveReport,
-    SvdFailure,
     greedy_row_oracle,
     project_capped_box_simplex,
     project_nuclear_ball,
     solve_recover_M,
 )
 from .quantile import (
-    EmptySetError,
     RoundingTrace,
     accept_loop,
     average_rows,

@@ -86,11 +86,8 @@ def realize_observations(plan: AssignmentPlan, world: WorldModel,
     values[reliable] = world.draw(world.a_star, rng) * plan.mask[reliable]
 
     adv_rows = np.setdiff1d(np.arange(n), reliable)
-    if adv_rows.size:
-        values[adv_rows] = adversary_fill(
-            world.adversary, plan, values[reliable], adv_rows,
-            world.ground_truth, rng,
-        )
+    values[adv_rows] = adversary_fill(world.adversary, plan, values[reliable],
+                                      adv_rows, world.ground_truth, rng)
     return ObservedRatings(values=values, mask=plan.mask)
 
 

@@ -42,17 +42,13 @@ _ADVERSARIES = {cls.__name__: (cls, scalar_fields(cls))
                 for cls in world.STRATEGIES}
 
 
-class ParseError(ValueError):
-    """Raised for malformed configuration text."""
-
-
 def _convert(raw: str, kind, key: str, line_no: int):
     try:
         if kind is int:
             return int(raw)
         return float(raw)
     except ValueError:
-        raise ParseError(
+        raise ConfigError(
             f"line {line_no}: value for '{key}' is not a valid {kind.__name__}: {raw!r}"
         ) from None
 
@@ -63,9 +59,8 @@ def parse_config(text: str) -> ExperimentConfig:
     One pair per line, '#' starts a comment, keys are the experiment
     parameter names; the adversary is named by `adversary = <Strategy>` with
     its parameters as dotted keys (e.g. `adversary.block_low = 0.8`), and
-    solver knobs likewise under `solver.`. Raises ParseError for malformed
-    lines, duplicate or unknown keys; ConfigError for missing keys or
-    constraint violations.
+    solver knobs likewise under `solver.`. Raises ConfigError for malformed
+    lines, duplicate, unknown or missing keys, and constraint violations.
     """
     pairs = {}
     lines = {}
@@ -73,15 +68,11 @@ def parse_config(text: str) -> ExperimentConfig:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ParseError(f"line {line_no}: expected 'key = value', got {raw_line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
-            raise ParseError(f"line {line_no}: expected 'key = value', got {raw_line!r}")
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not (key and eq and value):
+            raise ConfigError(f"line {line_no}: expected 'key = value', got {raw_line!r}")
         if key in pairs:
-            raise ParseError(f"line {line_no}: duplicate key '{key}'")
+            raise ConfigError(f"line {line_no}: duplicate key '{key}'")
         pairs[key] = value
         lines[key] = line_no
 
@@ -99,10 +90,10 @@ def parse_config(text: str) -> ExperimentConfig:
         elif key.startswith("solver."):
             name = key[len("solver."):]
             if name not in SOLVER_KEYS:
-                raise ParseError(f"line {lines[key]}: unknown solver key '{key}'")
+                raise ConfigError(f"line {lines[key]}: unknown solver key '{key}'")
             solver_params[name] = _convert(value, SOLVER_KEYS[name], key, lines[key])
         else:
-            raise ParseError(f"line {lines[key]}: unknown key '{key}'")
+            raise ConfigError(f"line {lines[key]}: unknown key '{key}'")
 
     missing = [k for k in REQUIRED_KEYS if k not in base]
     if missing:
@@ -119,14 +110,14 @@ def parse_config(text: str) -> ExperimentConfig:
         kwargs = {}
         for name, (key, value) in adversary_params.items():
             if name not in param_types:
-                raise ParseError(
+                raise ConfigError(
                     f"line {lines[key]}: unknown parameter '{key}' for {adversary_name}"
                 )
             kwargs[name] = _convert(value, param_types[name], key, lines[key])
         adversary = cls(**kwargs)
     elif adversary_params:
         key, _ = next(iter(adversary_params.values()))
-        raise ParseError(
+        raise ConfigError(
             f"line {lines[key]}: adversary parameters given without 'adversary ='"
         )
 
@@ -290,8 +281,7 @@ def main(config_path, out_dir, trials, jobs, mode, allow_nonconverged, rho_scale
                        allow_nonconverged=allow_nonconverged,
                        rho_scale=rho_scale)
         code = run_experiment(spec)
-    except (ConfigError, ParseError, world.ProfileError, UnicodeDecodeError,
-            OSError) as exc:
+    except (ConfigError, UnicodeDecodeError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     sys.exit(code)

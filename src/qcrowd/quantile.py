@@ -13,10 +13,6 @@ import numpy as np
 from .core import ExperimentConfig, SelectionSet, top_indices
 
 
-class EmptySetError(ValueError):
-    """Raised when asked to average an empty set of rows."""
-
-
 @dataclass(frozen=True)
 class RoundingTrace:
     """Record of one acceptance loop run."""
@@ -51,7 +47,7 @@ def average_rows(M: np.ndarray, index_set: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     index_set = np.asarray(index_set, dtype=int)
     if index_set.size == 0:
-        raise EmptySetError("cannot average an empty row set")
+        raise ValueError("cannot average an empty row set")
     return M[index_set].mean(axis=0)
 
 

@@ -26,11 +26,6 @@ from .core import (
 )
 
 
-class SvdFailure(RuntimeError):
-    """Raised when the nuclear projection's Gram eigendecomposition does not
-    converge."""
-
-
 # The solve stops once its polished iterate is within
 # STOP_REL_OBJ * max(1, |bound|) of the row program's optimum bound.
 STOP_REL_OBJ = 1e-6
@@ -160,8 +155,8 @@ def project_nuclear_ball(M: np.ndarray, rho: float) -> np.ndarray:
     matrix is returned.
 
     Raises ValueError for rho <= 0 or for a NaN or infinite entry (checked
-    once the cheap inside-the-ball certificate has failed), and SvdFailure
-    when the eigendecomposition does not converge.
+    once the cheap inside-the-ball certificate has failed), and numpy's
+    LinAlgError when the eigendecomposition does not converge.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -170,10 +165,7 @@ def project_nuclear_ball(M: np.ndarray, rho: float) -> np.ndarray:
         return M
     wide = M.shape[0] < M.shape[1]
     Y, e = _scaled(M.T if wide else M)
-    try:
-        V = np.linalg.eigh(Y.T @ Y)[1]
-    except np.linalg.LinAlgError as exc:
-        raise SvdFailure("Gram eigendecomposition did not converge") from exc
+    V = np.linalg.eigh(Y.T @ Y)[1]
     W = Y @ V
     norms = np.sqrt(np.einsum("ij,ij->j", W, W))
     order = np.argsort(-norms, kind="stable")

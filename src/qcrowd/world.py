@@ -16,14 +16,6 @@ from .core import (
     ConfigError, ExperimentConfig, GroundTruth, derive_rng, round_half_up)
 
 
-class StrategyError(ConfigError):
-    """Raised for invalid adversary-strategy parameters."""
-
-
-class ProfileError(ValueError):
-    """Raised when a rater profile would leave the [0, 1] rating range."""
-
-
 @dataclass(frozen=True)
 class RandomSpam:
     """Rates every assigned cell 1 with probability p_high, else 0."""
@@ -32,7 +24,7 @@ class RandomSpam:
 
     def __post_init__(self):
         if not 0.0 <= self.p_high <= 1.0:
-            raise StrategyError("p_high must lie in [0, 1]")
+            raise ConfigError("p_high must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -53,7 +45,7 @@ class SymmetricBlocks:
 
     def __post_init__(self):
         if not 0.0 <= self.block_low <= 1.0:
-            raise StrategyError("block_low must lie in [0, 1]")
+            raise ConfigError("block_low must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -66,7 +58,7 @@ class DenseHalfPositive:
 
     def __post_init__(self):
         if self.block_size < 0:
-            raise StrategyError("block_size must be at least 0")
+            raise ConfigError("block_size must be at least 0")
 
 
 @dataclass(frozen=True)
@@ -135,17 +127,18 @@ def affine_monotone_profile(r_star: np.ndarray, slopes: np.ndarray,
     """Expected-rating rows a[i] = intercepts[i] + slopes[i] * r_star.
 
     With slopes in [1/L, 1] the rows track r_star monotonically with zero
-    slack. Raises ProfileError if any row would leave [0, 1].
+    slack. Raises ValueError for unequal lengths, a slope <= 0, or a row
+    that would leave [0, 1].
     """
     r_star = np.asarray(r_star, dtype=float)
     slopes = np.atleast_1d(np.asarray(slopes, dtype=float))
     intercepts = np.atleast_1d(np.asarray(intercepts, dtype=float))
     if slopes.shape != intercepts.shape:
-        raise ProfileError("slopes and intercepts must have equal length")
+        raise ValueError("slopes and intercepts must have equal length")
     if np.any(slopes <= 0.0):
-        raise ProfileError("slopes must be positive")
+        raise ValueError("slopes must be positive")
     if np.any(intercepts < 0.0) or np.any(intercepts + slopes > 1.0 + 1e-12):
-        raise ProfileError("profile leaves [0, 1]: need a >= 0 and a + b <= 1")
+        raise ValueError("profile leaves [0, 1]: need a >= 0 and a + b <= 1")
     return intercepts[:, None] + slopes[:, None] * r_star[None, :]
 
 
@@ -184,11 +177,12 @@ def monotonicity_violation(r_star: np.ndarray, a_star: np.ndarray,
 
 def check_monotonicity(r_star: np.ndarray, a_star: np.ndarray, L: float,
                        tol: float = 1e-9) -> None:
+    """Raise ValueError unless both are finite and a_star is (L, tol)-monotone."""
     viol = monotonicity_violation(r_star, a_star, L)
     if not viol < np.inf:  # NaN or +inf
-        raise ProfileError("ratings and profile must be finite")
+        raise ValueError("ratings and profile must be finite")
     if viol > tol:
-        raise ProfileError(f"profile violates monotonicity with L = {L} by {viol:.3g}")
+        raise ValueError(f"profile violates monotonicity with L = {L} by {viol:.3g}")
 
 
 def _group_of(ordinal: np.ndarray, group_size: int, n_total: int) -> np.ndarray:
@@ -243,7 +237,7 @@ def adversary_fill(strategy: AdversaryStrategy, plan, reliable_values: np.ndarra
         n_blocks = int(block.max()) + 1
         if strategy.halves is not None:
             if len(strategy.halves) < n_blocks:
-                raise StrategyError(
+                raise ConfigError(
                     f"need at least {n_blocks} item halves, got {len(strategy.halves)}"
                 )
             halves = [np.asarray(h, dtype=int) for h in strategy.halves]
@@ -258,7 +252,7 @@ def adversary_fill(strategy: AdversaryStrategy, plan, reliable_values: np.ndarra
         src = ordinal % alpha_n
         values = reliable_values[src][:, perm]
     else:
-        raise StrategyError(f"unknown adversary strategy: {strategy!r}")
+        raise ConfigError(f"unknown adversary strategy: {strategy!r}")
 
     return values * plan.mask[adv_rows]
 

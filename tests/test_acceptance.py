@@ -4,7 +4,6 @@ lines as they complete."""
 
 import math
 from dataclasses import replace
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -31,6 +30,8 @@ from qcrowd import (
 )
 from qcrowd.solver import _solve
 from qcrowd.world import build_world
+
+from oracles import capped_box_oracle, nuclear_oracle
 
 # every experiment selection produced anywhere in this suite lands here as
 # (selection size, allowed size); the final criterion audits them all
@@ -93,42 +94,6 @@ def test_criterion_03_solver_oracle_equivalence():
             f"after {min(steps)}-{max(steps)} ascent steps")
 
 
-@lru_cache(maxsize=None)
-def _patterns(m):
-    grids = np.meshgrid(*([np.arange(3)] * m), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def _capped_box_oracle(v, cap):
-    v = np.asarray(v, dtype=float)
-    clipped = np.clip(v, 0.0, 1.0)
-    if clipped.sum() <= cap + 1e-12:
-        return clipped
-    pat = _patterns(v.size)
-    free = pat == 1
-    n_free = free.sum(axis=1)
-    keep = n_free > 0
-    theta = (free[keep] @ v + (pat[keep] == 2).sum(axis=1) - cap) / n_free[keep]
-    X = np.clip(v[None, :] - theta[:, None], 0.0, 1.0)
-    feasible = (theta >= -1e-9) & (X.sum(axis=1) <= cap + 1e-9)
-    X = X[feasible]
-    return X[np.argmin(((X - v[None, :]) ** 2).sum(axis=1))]
-
-
-def _nuclear_oracle(M, rho):
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    if s.sum() <= rho:
-        return np.asarray(M, dtype=float)
-    lo, hi = 0.0, float(s[0])
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.maximum(s - mid, 0.0).sum() > rho:
-            lo = mid
-        else:
-            hi = mid
-    return (U * np.maximum(s - hi, 0.0)) @ Vt
-
-
 def test_criterion_04_projection_correctness():
     rng = derive_rng(4, "projections")
     worst_box = 0.0
@@ -137,7 +102,7 @@ def test_criterion_04_projection_correctness():
         v = rng.uniform(-1.5, 2.5, size=m) * rng.uniform(0.5, 2.0)
         cap = int(rng.integers(1, max(m // 2, 2)))
         got = project_capped_box_simplex(v, cap)
-        want = _capped_box_oracle(v, cap)
+        want = capped_box_oracle(v, cap)
         worst_box = max(worst_box, float(np.abs(got - want).max()))
     worst_nuc = 0.0
     for _ in range(100):
@@ -147,7 +112,7 @@ def test_criterion_04_projection_correctness():
         rho = float(rng.uniform(0.3, 0.9)) * float(
             np.linalg.svd(M, compute_uv=False).sum())
         got = project_nuclear_ball(M, rho)
-        want = _nuclear_oracle(M, rho)
+        want = nuclear_oracle(M, rho)
         worst_nuc = max(worst_nuc, float(np.linalg.norm(got - want)))
         assert np.linalg.svd(got, compute_uv=False).sum() <= rho + 1e-8
     ok = worst_box <= 1e-6 and worst_nuc <= 1e-6

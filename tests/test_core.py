@@ -72,6 +72,24 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=msg):
             make_config(**dict.fromkeys(field.split(","), value))
 
+    @pytest.mark.parametrize("build,msg", [
+        pytest.param(lambda: make_config(adversary="SymmetricBlocks"),
+                     "adversary", id="adversary=str"),
+        pytest.param(lambda: SolverSettings(max_iters=2.5), "max_iters",
+                     id="max_iters=2.5"),
+        pytest.param(lambda: SolverSettings(max_iters=True), "max_iters",
+                     id="max_iters=True"),
+        pytest.param(lambda: SolverSettings(eta0=True), "eta0", id="eta0=True"),
+        pytest.param(lambda: make_config(alpha="0.4"), "alpha", id="alpha=str"),
+    ])
+    def test_bad_type_rejected_when_built(self, build, msg):
+        with pytest.raises(ConfigError, match=msg):
+            build()
+
+    def test_numpy_scalars_accepted_by_solver_settings(self):
+        settings = SolverSettings(max_iters=np.int64(5), eta0=np.float32(0.5))
+        assert settings.max_iters == 5 and settings.eta0 == 0.5
+
     def test_tiny_quantile_rejected(self):
         # round(beta * m) = 0
         with pytest.raises(ConfigError, match="beta"):

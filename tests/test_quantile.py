@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcrowd import (
-    EmptySetError,
     accept_loop,
     average_rows,
     derive_rng,
@@ -76,7 +75,7 @@ class TestAverageRows:
         assert np.allclose(average_rows(M, idx), M[idx].sum(axis=0) / 3)
 
     def test_empty_set(self):
-        with pytest.raises(EmptySetError):
+        with pytest.raises(ValueError, match="empty"):
             average_rows(np.ones((2, 2)), [])
 
 

@@ -6,7 +6,6 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 from qcrowd import (
     ObservedRatings,
     SolverSettings,
-    SvdFailure,
     greedy_row_oracle,
     project_capped_box_simplex,
     project_nuclear_ball,
@@ -32,36 +30,10 @@ from qcrowd.solver import (
 )
 
 from conftest import make_config
+from oracles import capped_box_oracle, nuclear_oracle
 
 
 # --- independent oracles -----------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _patterns(m):
-    """All assignments of m coordinates to {at 0, free, at 1}."""
-    grids = np.meshgrid(*([np.arange(3)] * m), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def capped_box_oracle(v, cap):
-    """Projection onto {x in [0,1]^m, sum x <= cap} by enumerating every
-    clip pattern, solving its shift, and keeping the closest feasible
-    candidate. Exact because the projection's own pattern is enumerated."""
-    v = np.asarray(v, dtype=float)
-    clipped = np.clip(v, 0.0, 1.0)
-    if clipped.sum() <= cap + 1e-12:
-        return clipped
-    pat = _patterns(v.size)
-    free = pat == 1
-    n_free = free.sum(axis=1)
-    keep = n_free > 0
-    theta = (free[keep] @ v + (pat[keep] == 2).sum(axis=1) - cap) / n_free[keep]
-    X = np.clip(v[None, :] - theta[:, None], 0.0, 1.0)
-    feasible = (theta >= -1e-9) & (X.sum(axis=1) <= cap + 1e-9)
-    X = X[feasible]
-    dist = ((X - v[None, :]) ** 2).sum(axis=1)
-    return X[np.argmin(dist)]
-
 
 def bisection_rows_oracle(M, cap):
     """Row projection by bisection on the Lagrange shift theta, the rule the
@@ -106,22 +78,6 @@ def _row_projection_inputs(draw):
         M = np.rint(M).astype(np.int64)
     cap = draw(st.integers(0, m) | st.floats(0.5, m))
     return M, cap
-
-
-def nuclear_oracle(M, rho):
-    """Nuclear-ball projection via plain bisection on the singular-value
-    shift (independent of the production sorted-threshold rule)."""
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    if s.sum() <= rho:
-        return np.asarray(M, dtype=float)
-    lo, hi = 0.0, float(s[0])
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.maximum(s - mid, 0.0).sum() > rho:
-            lo = mid
-        else:
-            hi = mid
-    return (U * np.maximum(s - hi, 0.0)) @ Vt
 
 
 @st.composite
@@ -360,11 +316,11 @@ class TestNuclearProjection:
         with pytest.raises(ValueError):
             project_nuclear_ball(np.eye(2), 0.0)
 
-    def test_svd_failure_is_wrapped(self, monkeypatch):
+    def test_eigh_failure_raises_linalg_error(self, monkeypatch):
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("no convergence")
         monkeypatch.setattr(np.linalg, "eigh", boom)
-        with pytest.raises(SvdFailure):
+        with pytest.raises(np.linalg.LinAlgError, match="no convergence"):
             project_nuclear_ball(np.eye(3) * 100, 1.0)
 
     def test_subnormal_matrix_inside_a_large_ball_is_returned(self):
