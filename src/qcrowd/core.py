@@ -57,6 +57,18 @@ def scalar_fields(cls) -> dict:
             if f.init and f.type in _SCALAR_TYPES}
 
 
+def check_scalar_fields(obj) -> None:
+    """Raise ConfigError naming the first scalar field of dataclass obj (see
+    scalar_fields) that does not hold a non-bool integer (int fields) or a
+    non-bool real (float fields)."""
+    for name, kind in scalar_fields(type(obj)).items():
+        value = getattr(obj, name)
+        if kind is int and not _is_number(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer")
+        if not _is_number(value):
+            raise ConfigError(f"{name} must be a real number")
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     """Knobs for the ADMM solve.
@@ -120,12 +132,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         from . import world  # imported here: world imports core
-        for name in CONFIG_KEYS:
-            if not _is_number(getattr(self, name)):
-                raise ConfigError(f"{name} must be a real number")
-        if not _is_number(self.n, numbers.Integral) or self.n < 1:
+        check_scalar_fields(self)
+        if self.n < 1:
             raise ConfigError("n must be a positive integer")
-        if not _is_number(self.m, numbers.Integral) or self.m < 1:
+        if self.m < 1:
             raise ConfigError("m must be a positive integer")
         if self.m < self.n:
             raise ConfigError("m must be at least n")
@@ -139,11 +149,11 @@ class ExperimentConfig:
             raise ConfigError("epsilon must lie in (0, 1]")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError("delta must lie in (0, 1)")
-        if not _is_number(self.k, numbers.Integral) or self.k < 1:
+        if self.k < 1:
             raise ConfigError("k must be a positive integer")
         if self.k > self.m:
             raise ConfigError("k must be at most m")
-        if not _is_number(self.k0, numbers.Integral) or self.k0 < 1:
+        if self.k0 < 1:
             raise ConfigError("k0 must be a positive integer")
         if self.k0 > self.m:
             raise ConfigError("k0 must be at most m")

@@ -5,7 +5,8 @@ by scaled ADMM (Boyd et al. 2011, section 3) between the per-row capped
 box-simplex and the nuclear-norm ball, at the scale-free constant step
 eta = 1/penalty = ||L||_F / ||A||_F, started at the row program's face point
 L (see _face_point). Each step is one Dykstra sweep (see dykstra_project)
-from the carried nuclear correction q, which is ADMM's scaled dual variable.
+from the carried nuclear correction q, which is ADMM's scaled dual variable;
+once q is carried, the sweep is over-relaxed by the constant factor RELAX.
 """
 
 from __future__ import annotations
@@ -29,6 +30,12 @@ from .core import (
 # The solve stops once its polished iterate is within
 # STOP_REL_OBJ * max(1, |bound|) of the row program's optimum bound.
 STOP_REL_OBJ = 1e-6
+
+# Over-relaxation factor of every ADMM step that carries a correction (Boyd
+# et al. 2011, section 3.4.3; 1 is plain ADMM). A constant, not a setting:
+# 1.5 took about a third fewer steps to a 1e-4 dual gap on every measured
+# config, where 1.8 was faster on README-shaped ones and slower on wide ones.
+RELAX = 1.5
 
 
 @dataclass(frozen=True)
@@ -187,7 +194,8 @@ def project_nuclear_ball(M: np.ndarray, rho: float) -> np.ndarray:
 
 
 def dykstra_project(M: np.ndarray, cap: float, rho: float,
-                    q: Optional[np.ndarray] = None
+                    q: Optional[np.ndarray] = None,
+                    prev: Optional[np.ndarray] = None
                     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """One sweep of Dykstra's algorithm between the per-row capped
     box-simplex and the nuclear ball, from the nuclear correction q;
@@ -199,12 +207,21 @@ def dykstra_project(M: np.ndarray, cap: float, rho: float,
     zero correction, on input and on output: from it u is y itself, and
     when y already lies in the ball, (y, None) is returned. x is always a
     nuclear projection, so it lies inside the ball.
+
+    Given the previous iterate prev, a sweep from a correction q is
+    over-relaxed: u = y + q + (RELAX - 1) * (y - prev), which is the relaxed
+    ADMM step when M is prev + eta * A. prev is ignored when q is None, and
+    without it chained calls are plain Dykstra.
     """
     if q is None:
         y = u = _project_rows(M, cap)
     else:
         y = _project_rows(M - q, cap)
         u = y + q
+        if prev is not None:  # in place: y is not needed again
+            y -= prev
+            y *= RELAX - 1.0
+            u += y
     x = project_nuclear_ball(u, rho)
     if x is y:  # zero correction, and y lies in the ball
         return y, None
@@ -273,11 +290,14 @@ def solve_recover_M(ratings,
                     cfg: ExperimentConfig) -> Tuple[QuantileMatrix, SolveReport]:
     """Solve the constrained linear program for the quantile matrix.
 
-    Scaled ADMM at the constant step eta = ||L||_F / ||A||_F (1 when A is
-    zero; solver.eta0 when set), started at the row program's face point L
-    of beta * ones (see _face_point) with q = None: each step is
-    M, q <- dykstra_project(M + eta * A, cap, rho, q), that is
-    X = Pi_rows(M - q + eta * A), M = Pi_nuc(X + q), q += X - M. bound =
+    Over-relaxed scaled ADMM at the constant step eta = ||L||_F / ||A||_F
+    (1 when A is zero; solver.eta0 when set), started at the row program's
+    face point L of beta * ones (see _face_point) with q = None: each step
+    is M, q <- dykstra_project(M + eta * A, cap, rho, q, M), that is
+    X = Pi_rows(M - q + eta * A), u = X + q + (RELAX - 1) * (X - M),
+    M' = Pi_nuc(u), q' = u - M'. The relaxation term is dropped while q is
+    None: on the first step, and on every step of a solve whose ball is
+    slack, which is therefore plain ADMM. bound =
     <A, L> is the row program's optimum and an upper bound on the
     program's. Each iterate whose objective reaches target = bound -
     STOP_REL_OBJ * max(1, |bound|) is polished into the feasible set (see
@@ -293,7 +313,9 @@ def solve_recover_M(ratings,
 def _solve(ratings, cfg: ExperimentConfig,
            face_start: bool) -> Tuple[QuantileMatrix, SolveReport]:
     """The body of solve_recover_M. face_start False starts at beta * ones,
-    not L (eta still comes from L), so tests can check the slack ascent."""
+    not L (eta still comes from L), so tests can check the slack ascent.
+    Each step passes the iterate it starts from to dykstra_project as prev,
+    which over-relaxes the step once q is carried."""
     settings = cfg.solver
     A = np.asarray(ratings.values, dtype=float)
     cap = cfg.beta_m
@@ -312,7 +334,7 @@ def _solve(ratings, cfg: ExperimentConfig,
     q = None  # ADMM's scaled dual, Dykstra's nuclear correction
     trace = []
     for t in range(1, settings.max_iters + 1):
-        M, q = dykstra_project(M + eta * A, cap, rho, q)
+        M, q = dykstra_project(M + eta * A, cap, rho, q, M)
         trace.append(float(np.vdot(A, M)))
         if trace[-1] >= target or t == settings.max_iters:
             final, res = _polish(M, cap, rho)

@@ -7,13 +7,15 @@ the remaining raters use to fill in their cells.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .core import (
-    ConfigError, ExperimentConfig, GroundTruth, derive_rng, round_half_up)
+    ConfigError, ExperimentConfig, GroundTruth, _is_number, check_scalar_fields,
+    derive_rng, round_half_up)
 
 
 @dataclass(frozen=True)
@@ -23,6 +25,7 @@ class RandomSpam:
     p_high: float = 0.5
 
     def __post_init__(self):
+        check_scalar_fields(self)
         if not 0.0 <= self.p_high <= 1.0:
             raise ConfigError("p_high must lie in [0, 1]")
 
@@ -44,6 +47,7 @@ class SymmetricBlocks:
     block_low: float = 0.8
 
     def __post_init__(self):
+        check_scalar_fields(self)
         if not 0.0 <= self.block_low <= 1.0:
             raise ConfigError("block_low must lie in [0, 1]")
 
@@ -57,8 +61,17 @@ class DenseHalfPositive:
     halves: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     def __post_init__(self):
+        check_scalar_fields(self)
         if self.block_size < 0:
             raise ConfigError("block_size must be at least 0")
+        if self.halves is not None:
+            try:
+                ok = all(_is_number(j, numbers.Integral)
+                         for half in self.halves for j in half)
+            except TypeError:  # not a sequence of sequences
+                ok = False
+            if not ok:
+                raise ConfigError("halves must be sequences of integer item indices")
 
 
 @dataclass(frozen=True)
@@ -66,6 +79,9 @@ class MirroredCopy:
     """Replays reliable raters' realized rows under a fixed column permutation."""
 
     perm_seed: int = 0
+
+    def __post_init__(self):
+        check_scalar_fields(self)
 
 
 STRATEGIES = (RandomSpam, AntiCorrelated, SymmetricBlocks, DenseHalfPositive,
@@ -241,6 +257,8 @@ def adversary_fill(strategy: AdversaryStrategy, plan, reliable_values: np.ndarra
                     f"need at least {n_blocks} item halves, got {len(strategy.halves)}"
                 )
             halves = [np.asarray(h, dtype=int) for h in strategy.halves]
+            if any(np.any((h < 0) | (h >= m)) for h in halves):
+                raise ConfigError(f"item halves must index items 0 to {m - 1}")
         else:
             halves = [rng.choice(m, size=m // 2, replace=False)
                       for _ in range(n_blocks)]

@@ -81,6 +81,9 @@ class TestValidateConfig:
                      id="max_iters=True"),
         pytest.param(lambda: SolverSettings(eta0=True), "eta0", id="eta0=True"),
         pytest.param(lambda: make_config(alpha="0.4"), "alpha", id="alpha=str"),
+        # truncating 2.5 to 2 would give two seeds one trial
+        pytest.param(lambda: make_config(seed=2.5), "seed", id="seed=2.5"),
+        pytest.param(lambda: make_config(seed=True), "seed", id="seed=True"),
     ])
     def test_bad_type_rejected_when_built(self, build, msg):
         with pytest.raises(ConfigError, match=msg):

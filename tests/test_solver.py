@@ -388,6 +388,26 @@ class TestDykstra:
         else:
             assert got_q.tobytes() == (X + q0 - x).tobytes()
 
+    @pytest.mark.parametrize("shape", [(8, 10), (10, 8)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("rho", [1e6, 3.0], ids=["slack", "binding"])
+    def test_sweep_from_a_correction_is_relaxed_toward_prev(self, rho, shape):
+        # u = X + q + (RELAX - 1) * (X - prev), to the bit; from q = None,
+        # prev changes nothing
+        rng = np.random.default_rng(6)
+        Z, q, prev = (rng.standard_normal(shape) * 4 for _ in range(3))
+        with counted_projections() as (calls, _):
+            got, got_q = dykstra_project(Z, 2.0, rho, q, prev)
+        assert calls == {"_project_rows": 1, "project_nuclear_ball": 1}
+        X = _project_rows(Z - q, 2.0)
+        u = X + q + (solver.RELAX - 1.0) * (X - prev)
+        x = project_nuclear_ball(u, rho)
+        assert got.tobytes() == x.tobytes()
+        assert got_q.tobytes() == (u - x).tobytes()
+        plain = dykstra_project(Z, 2.0, rho)
+        from_zero = dykstra_project(Z, 2.0, rho, None, prev)
+        assert from_zero[0].tobytes() == plain[0].tobytes()
+        assert (from_zero[1] is None) == (plain[1] is None)
+
     @pytest.mark.parametrize("sweeps", [1, 2, 5, 30])
     @pytest.mark.parametrize("shape", [(8, 10), (10, 8)], ids=["wide", "tall"])
     @pytest.mark.parametrize("rho", [1e6, 3.0], ids=["slack", "binding"])
@@ -628,10 +648,10 @@ def _record_dykstra(monkeypatch):
     project = solver.dykstra_project
     inputs, passed, returned = [], [], []
 
-    def recording(M, cap, rho, q=None):
+    def recording(M, cap, rho, q=None, prev=None):
         inputs.append(np.array(M))
         passed.append(q)
-        out = project(M, cap, rho, q)
+        out = project(M, cap, rho, q, prev)
         returned.append(out[1])
         return out
 
@@ -661,13 +681,36 @@ def _derived_step(A, L):
             / math.sqrt(np.einsum("ij,ij->", A, A)))
 
 
+def _readme_config(rho_scale, max_iters):
+    """The README example config (n = m = 200) at rho_scale."""
+    return make_config(n=200, m=200, alpha=0.3, beta=0.2, epsilon=0.2, k=50,
+                       k0=100, rho_scale=rho_scale,
+                       adversary=SymmetricBlocks(block_low=0.8),
+                       solver=SolverSettings(max_iters=max_iters))
+
+
+def _solved_trial(monkeypatch, cfg, seed):
+    """run_trial(cfg, seed); returns its solve's ratings, M and report."""
+    solved = []
+
+    def recording_solve(ratings, cfg):
+        out = solve_recover_M(ratings, cfg)
+        solved.append((np.asarray(ratings.values, dtype=float), *out))
+        return out
+
+    monkeypatch.setattr(analysis, "solve_recover_M", recording_solve)
+    run_trial(cfg, seed)
+    (A, matrix, report), = solved
+    return A, matrix.M, report
+
+
 def _near_threshold(seed):
     """A sparse 8x12 instance whose nuclear ball binds on the ascent's path
     but not at its optimum: rho lies a fifth of the way (geometrically) from
     the nuclear norm of the face point L of beta * ones, outside the ball,
     down to that of the greedy point, inside it. The greedy point reaches
     the bound <A, L>, so the solve can certify; on these seeds it does
-    within 4-7 steps from L, and within 5-12 from beta * ones."""
+    within 3-5 steps from L, and within 4-11 from beta * ones."""
     rng = np.random.default_rng(seed)
     A = rng.random((8, 12)) * (rng.random((8, 12)) < 0.15)
     cfg = make_config(n=8, m=12, beta=0.25, k=12, k0=12,
@@ -920,6 +963,61 @@ class TestSolveRecoverM:
             assert calls["_project_rows"] == 5
             passed.clear()
             returned.clear()
+
+    def test_binding_solve_follows_the_relaxed_recurrence(self, monkeypatch):
+        # the binding config of test_not_converged_carries_result; step 1
+        # starts from q = None and is not relaxed
+        rng = np.random.default_rng(12)
+        cfg = make_config(n=6, m=8, beta=0.25, k=8, k0=8, rho_scale=0.05,
+                          solver=SolverSettings(max_iters=6))
+        A = rng.random((6, 8))
+        cap, rho = cfg.beta_m, cfg.rho
+        L = _face_point(A, cap, cfg.beta)
+        eta = _derived_step(A, L)
+        X = _project_rows(L + eta * A, cap)
+        M = project_nuclear_ball(X, rho)
+        q = X - M
+        want = [q]
+        for _ in range(5):
+            X = _project_rows((M + eta * A) - q, cap)
+            u = X + q + (solver.RELAX - 1.0) * (X - M)
+            M = project_nuclear_ball(u, rho)
+            q = u - M
+            want.append(q)
+        _, _, returned = _record_dykstra(monkeypatch)
+        matrix, report = solve_recover_M(_observed(A), cfg)
+        assert report.iterations == 6 and not report.converged
+        assert [r.tobytes() for r in returned] == [w.tobytes() for w in want]
+        assert matrix.M.tobytes() == solver._polish(M, cap, rho)[0].tobytes()
+
+    def test_slack_solve_takes_no_relaxed_step(self, monkeypatch):
+        # README config, trial seed 42: the ball is slack, q stays None, and
+        # a relaxation factor that would poison any relaxed step changes no
+        # byte
+        cfg = _readme_config(1.0, 400)
+        _, M, report = _solved_trial(monkeypatch, cfg, 42)
+        assert report.converged and report.iterations == 1
+        monkeypatch.setattr(solver, "RELAX", math.nan)
+        _, poisoned, _ = _solved_trial(monkeypatch, cfg, 42)
+        assert poisoned.tobytes() == M.tobytes()
+
+    @pytest.mark.parametrize("seed", [42, 43])
+    def test_relaxation_raises_the_20_step_objective(self, monkeypatch, seed):
+        # the binding CI config (README config at rho_scale 0.2, 20 steps)
+        # against plain ADMM from the same start at the same step: dykstra_
+        # project chained without prev (4098.524 against 4091.020 at seed
+        # 42, 4092.875 against 4085.016 at 43)
+        cfg = _readme_config(0.2, 20)
+        A, _, report = _solved_trial(monkeypatch, cfg, seed)
+        assert report.iterations == 20 and not report.converged
+        cap, rho = cfg.beta_m, cfg.rho
+        M = _face_point(A, cap, cfg.beta)
+        eta = _derived_step(A, M)
+        q = None
+        for _ in range(20):
+            M, q = dykstra_project(M + eta * A, cap, rho, q)
+        plain = float(np.vdot(A, solver._polish(M, cap, rho)[0]))
+        assert report.objective > plain
 
     @pytest.mark.parametrize("seed", [0, 1, 3, 4, 5, 6, 11, 19, 23, 42])
     def test_certifies_near_the_nuclear_threshold(self, seed):

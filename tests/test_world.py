@@ -7,6 +7,7 @@ from qcrowd import (
     ConfigError,
     DenseHalfPositive,
     GroundTruth,
+    MirroredCopy,
     RandomSpam,
     SymmetricBlocks,
     WorldModel,
@@ -312,6 +313,17 @@ class TestDenseHalfPositive:
                            full_plan(10, 12), np.tile(gt.r_star, (4, 1)),
                            np.arange(4, 10), gt, derive_rng(0, "adv"))
 
+    # an index of m used to raise IndexError in the trial, and a negative
+    # one to wrap around to the last items
+    @pytest.mark.parametrize("bad", [12, -1], ids=["m", "negative"])
+    def test_out_of_range_halves_rejected(self, bad):
+        gt = _descending_gt(12, 2, lo=0.0)
+        halves = PAPER_HALVES[:2] + ((0, 2, 3, 6, 9, bad),)
+        with pytest.raises(ConfigError, match="halves must index items 0 to 11"):
+            adversary_fill(DenseHalfPositive(halves=halves),
+                           full_plan(10, 12), np.tile(gt.r_star, (4, 1)),
+                           np.arange(4, 10), gt, derive_rng(0, "adv"))
+
 
 class TestStrategyParameters:
     @pytest.mark.parametrize("cls,name,value", [
@@ -325,6 +337,25 @@ class TestStrategyParameters:
     def test_out_of_range_rejected_as_config_error(self, cls, name, value):
         with pytest.raises(ConfigError, match=name):
             cls(**{name: value})
+
+    @pytest.mark.parametrize("cls,name,value", [
+        (RandomSpam, "p_high", "0.5"),
+        (SymmetricBlocks, "block_low", "x"),
+        (DenseHalfPositive, "block_size", 2.5),
+        (DenseHalfPositive, "block_size", True),
+        (DenseHalfPositive, "halves", ((0, 1.5),)),
+        (DenseHalfPositive, "halves", 5),
+        (MirroredCopy, "perm_seed", 2.5),
+    ], ids=lambda v: repr(v) if not isinstance(v, type) else v.__name__)
+    def test_bad_type_rejected_as_config_error(self, cls, name, value):
+        with pytest.raises(ConfigError, match=name):
+            cls(**{name: value})
+
+    def test_numpy_scalars_accepted(self):
+        assert RandomSpam(p_high=np.float32(0.25)).p_high == 0.25
+        assert MirroredCopy(perm_seed=np.int64(3)).perm_seed == 3
+        halves = DenseHalfPositive(halves=(np.arange(6),)).halves
+        assert np.array_equal(halves[0], np.arange(6))
 
     def test_range_ends_accepted(self):
         assert RandomSpam(p_high=0.0).p_high == 0.0
