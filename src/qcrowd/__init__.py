@@ -49,12 +49,9 @@ from .solver import (
 from .quantile import (
     RoundingTrace,
     accept_loop,
-    average_rows,
     randomized_round,
     recover_quantile,
     round_offsets,
-    score_rows,
-    select_top_rows,
 )
 from .analysis import (
     TrialResult,

@@ -16,20 +16,13 @@ from .world import WorldModel, adversary_fill
 class AssignmentPlan:
     """Set of (rater, item) pairs to be rated, as a binary mask.
 
-    After pruning, every row and every column has degree at most 2k.
+    The degrees are mask.sum(axis=1) per rater and mask.sum(axis=0) per
+    item; after pruning, every one is at most 2k.
     """
 
     mask: np.ndarray
     pruned_rows: int
     pruned_cols: int
-
-    @property
-    def row_degrees(self) -> np.ndarray:
-        return self.mask.sum(axis=1)
-
-    @property
-    def col_degrees(self) -> np.ndarray:
-        return self.mask.sum(axis=0)
 
 
 def _prune_axis(mask: np.ndarray, cap: int, axis: int,

@@ -172,6 +172,9 @@ class ExperimentConfig:
             raise ConfigError("adversary must be None or a world.STRATEGIES instance")
         if alpha_n < self.n and self.adversary is None:
             raise ConfigError("an adversary strategy is required when alpha < 1")
+        if alpha_n < self.n and isinstance(self.adversary, world.DenseHalfPositive):
+            world.dense_half_blocks(self.adversary, self.n, self.n - alpha_n,
+                                    alpha_n, beta_m, self.m)
         if not isinstance(self.solver, SolverSettings):
             raise ConfigError("solver must be a SolverSettings")
         rho = (2.0 / (self.alpha * self.epsilon)) * math.sqrt(
@@ -261,10 +264,6 @@ class ObservedRatings:
             raise ValueError("values must be 0 on unrated cells")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "mask", mk.astype(np.int8))
-
-    @property
-    def shape(self):
-        return self.values.shape
 
 
 @dataclass(frozen=True)
@@ -386,6 +385,3 @@ class SelectionSet:
     @property
     def size(self) -> int:
         return int(self.t.sum())
-
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.t)

@@ -25,32 +25,6 @@ class RoundingTrace:
     iteration_cap: int
 
 
-def score_rows(M: np.ndarray, r_tilde: np.ndarray) -> np.ndarray:
-    """Row scores s_i = sum_j M_ij * r_tilde_j."""
-    M = np.asarray(M, dtype=float)
-    r_tilde = np.asarray(r_tilde, dtype=float)
-    if M.shape[1] != r_tilde.shape[0]:
-        raise ValueError("rating vector length must match the matrix columns")
-    return M @ r_tilde
-
-
-def select_top_rows(scores: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the count largest scores, ties toward smaller index."""
-    scores = np.asarray(scores, dtype=float)
-    if count > scores.shape[0]:
-        raise ValueError("cannot select more rows than there are")
-    return top_indices(scores, count)
-
-
-def average_rows(M: np.ndarray, index_set: np.ndarray) -> np.ndarray:
-    """Coordinate-wise mean of the selected rows."""
-    M = np.asarray(M, dtype=float)
-    index_set = np.asarray(index_set, dtype=int)
-    if index_set.size == 0:
-        raise ValueError("cannot average an empty row set")
-    return M[index_set].mean(axis=0)
-
-
 def round_offsets(T0: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Systematic-sampling selections for explicit offsets in [0, 1).
 
@@ -117,10 +91,10 @@ def recover_quantile(M: np.ndarray, r_tilde: np.ndarray,
                      r_tilde_prime: np.ndarray, cfg: ExperimentConfig,
                      rng: np.random.Generator
                      ) -> Tuple[SelectionSet, RoundingTrace]:
-    """Full extraction: score rows with r_tilde, average the alpha_n best,
-    and round with the acceptance loop against r_tilde_prime."""
-    scores = score_rows(M, r_tilde)
-    chosen = select_top_rows(scores, cfg.alpha_n)
-    T0 = average_rows(M, chosen)
+    """Full extraction: score each row as s = M @ r_tilde, average the
+    rows top_indices(s, alpha_n) picks (ties toward the smaller index) into
+    T0, and round T0 with the acceptance loop against r_tilde_prime."""
+    scores = M @ r_tilde
+    T0 = M[top_indices(scores, cfg.alpha_n)].mean(axis=0)
     trace = accept_loop(T0, r_tilde_prime, cfg, rng)
     return trace.selection, trace

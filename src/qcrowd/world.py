@@ -191,13 +191,16 @@ def monotonicity_violation(r_star: np.ndarray, a_star: np.ndarray,
     return float(np.max(g - prefix_min[:, last_tie], initial=-np.inf))
 
 
-def check_monotonicity(r_star: np.ndarray, a_star: np.ndarray, L: float,
-                       tol: float = 1e-9) -> None:
-    """Raise ValueError unless both are finite and a_star is (L, tol)-monotone."""
+MONOTONICITY_TOL = 1e-9  # rounding slack allowed in a generated profile
+
+
+def check_monotonicity(r_star: np.ndarray, a_star: np.ndarray, L: float) -> None:
+    """Raise ValueError unless both are finite and a_star is
+    (L, MONOTONICITY_TOL)-monotone."""
     viol = monotonicity_violation(r_star, a_star, L)
     if not viol < np.inf:  # NaN or +inf
         raise ValueError("ratings and profile must be finite")
-    if viol > tol:
+    if viol > MONOTONICITY_TOL:
         raise ValueError(f"profile violates monotonicity with L = {L} by {viol:.3g}")
 
 
@@ -205,6 +208,28 @@ def _group_of(ordinal: np.ndarray, group_size: int, n_total: int) -> np.ndarray:
     """Group index per ordinal; the remainder joins the last full group."""
     n_full = max(n_total // group_size, 1)
     return np.minimum(ordinal // group_size, n_full - 1)
+
+
+def dense_half_blocks(strategy: DenseHalfPositive, n: int, n_adv: int,
+                      alpha_n: int, beta_m: int, m: int) -> Tuple[int, int]:
+    """(block size, block count) of a DenseHalfPositive attack by n_adv of
+    n raters on m items.
+
+    Raises ConfigError when strategy.halves has fewer halves than blocks or
+    an index outside 0 .. m - 1.
+    """
+    size = strategy.block_size
+    if size == 0:
+        size = max(round_half_up(3.0 * (alpha_n / n) * (beta_m / m) * n), 1)
+    n_blocks = max(n_adv // size, 1)  # _group_of's group count
+    halves = strategy.halves
+    if halves is not None:
+        if len(halves) < n_blocks:
+            raise ConfigError(
+                f"need at least {n_blocks} item halves, got {len(halves)}")
+        if any(not 0 <= j < m for half in halves for j in half):
+            raise ConfigError(f"item halves must index items 0 to {m - 1}")
+    return size, n_blocks
 
 
 def adversary_fill(strategy: AdversaryStrategy, plan, reliable_values: np.ndarray,
@@ -246,19 +271,10 @@ def adversary_fill(strategy: AdversaryStrategy, plan, reliable_values: np.ndarra
         values[ordinal[:, None],
                desc[(start[:, None] + np.arange(beta_m)) % m]] = 1.0
     elif isinstance(strategy, DenseHalfPositive):
-        size = strategy.block_size
-        if size == 0:
-            size = max(round_half_up(3.0 * (alpha_n / n) * (beta_m / m) * n), 1)
+        size, n_blocks = dense_half_blocks(strategy, n, n_adv, alpha_n, beta_m, m)
         block = _group_of(ordinal, size, n_adv)
-        n_blocks = int(block.max()) + 1
         if strategy.halves is not None:
-            if len(strategy.halves) < n_blocks:
-                raise ConfigError(
-                    f"need at least {n_blocks} item halves, got {len(strategy.halves)}"
-                )
             halves = [np.asarray(h, dtype=int) for h in strategy.halves]
-            if any(np.any((h < 0) | (h >= m)) for h in halves):
-                raise ConfigError(f"item halves must index items 0 to {m - 1}")
         else:
             halves = [rng.choice(m, size=m // 2, replace=False)
                       for _ in range(n_blocks)]

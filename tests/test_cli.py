@@ -439,3 +439,12 @@ def test_readme_config_block_names_every_key():
     # below the block instead
     assert accepted - named == {"solver.eta0"}, sorted(accepted - named)
     assert "`solver.eta0`" in text.partition(block)[2]
+
+
+def test_readme_library_block_runs():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = text.partition("\n## Library\n")[2]
+    block = re.match(r"\s*```python\n(.*?)```", library, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["result"].seed == 7

@@ -213,7 +213,7 @@ class TestSelectionSet:
     def test_size_and_indices(self):
         s = SelectionSet(np.array([1, 0, 1, 0]))
         assert s.size == 2
-        assert list(s.indices()) == [0, 2]
+        assert list(np.flatnonzero(s.t)) == [0, 2]
 
 
 class TestFeasibility:
@@ -289,3 +289,11 @@ class TestFrobeniusCertificate:
 class TestTopIndices:
     def test_stable_ordering(self):
         assert list(top_indices([1.0, 3.0, 3.0, 2.0], 3)) == [1, 2, 3]
+
+    def test_all_equal_takes_first(self):
+        assert list(top_indices(np.ones(5), 3)) == [0, 1, 2]
+
+    def test_matches_sort_oracle(self):
+        scores = np.random.default_rng(2).random(30)
+        want = sorted(range(30), key=lambda i: -scores[i])[:10]
+        assert list(top_indices(scores, 10)) == want

@@ -6,77 +6,95 @@ from hypothesis import given, settings, strategies as st
 
 from qcrowd import (
     accept_loop,
-    average_rows,
     derive_rng,
     randomized_round,
     recover_quantile,
     round_offsets,
-    score_rows,
-    select_top_rows,
 )
+from qcrowd import quantile
 
 from conftest import make_config
 
 
+def extracted_T0(monkeypatch, M, r_tilde, alpha_n):
+    """The T0 that recover_quantile hands to accept_loop when it averages
+    the alpha_n best rows of M scored against r_tilde."""
+    seen = []
+
+    def spy(T0, *args):
+        seen.append(T0)
+        return accept_loop(T0, *args)
+
+    monkeypatch.setattr(quantile, "accept_loop", spy)
+    M = np.asarray(M, dtype=float)
+    cfg = make_config(alpha=alpha_n / 10)  # n = 10
+    assert cfg.alpha_n == alpha_n
+    recover_quantile(M, np.asarray(r_tilde, dtype=float), np.zeros(M.shape[1]),
+                     cfg, derive_rng(0, "rq"))
+    (T0,) = seen
+    return T0
+
+
 class TestScoreRows:
-    def test_zero_ratings_zero_scores(self):
+    """recover_quantile scores row i as s_i = sum_j M_ij * r_tilde_j."""
+
+    def test_zero_ratings_zero_scores(self, monkeypatch):
+        # every score is 0, so the tie takes the first rows
         M = np.random.default_rng(0).random((4, 6))
-        assert np.array_equal(score_rows(M, np.zeros(6)), np.zeros(4))
+        T0 = extracted_T0(monkeypatch, M, np.zeros(6), 2)
+        assert np.array_equal(T0, M[:2].mean(axis=0))
 
-    def test_indicator_row_sums_selected_ratings(self):
+    def test_indicator_row_sums_selected_ratings(self, monkeypatch):
         r = np.array([0.9, 0.2, 0.7, 0.4])
-        M = np.array([[1.0, 0.0, 1.0, 0.0]])
-        assert score_rows(M, r)[0] == pytest.approx(1.6)
+        M = np.array([[0.0, 1.0, 0.0, 1.0],   # 0.6
+                      [1.0, 0.0, 1.0, 0.0],   # 1.6
+                      [1.0, 1.0, 0.0, 0.0]])  # 1.1
+        assert np.array_equal(extracted_T0(monkeypatch, M, r, 1), M[1])
+        assert np.array_equal(extracted_T0(monkeypatch, M, r, 2),
+                              M[[1, 2]].mean(axis=0))
 
-    def test_matches_double_loop_oracle(self):
+    def test_matches_double_loop_oracle(self, monkeypatch):
         rng = np.random.default_rng(1)
         M = rng.random((5, 7))
         r = rng.random(7)
         want = [sum(M[i, j] * r[j] for j in range(7)) for i in range(5)]
-        assert np.allclose(score_rows(M, r), want)
+        best = np.argsort(want)[::-1][:2]
+        assert np.allclose(extracted_T0(monkeypatch, M, r, 2),
+                           M[best].mean(axis=0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            score_rows(np.ones((2, 3)), np.ones(4))
+            recover_quantile(np.ones((2, 3)), np.ones(4), np.zeros(3),
+                             make_config(), derive_rng(0, "rq"))
 
 
 class TestSelectTopRows:
-    def test_decreasing_scores(self):
-        assert list(select_top_rows(np.array([5.0, 4.0, 3.0, 2.0]), 2)) == [0, 1]
+    """recover_quantile keeps the alpha_n best-scored rows."""
 
-    def test_all_equal_takes_first(self):
-        assert list(select_top_rows(np.ones(5), 3)) == [0, 1, 2]
-
-    def test_matches_sort_oracle(self):
-        rng = np.random.default_rng(2)
-        scores = rng.random(30)
-        got = select_top_rows(scores, 10)
-        want = np.argsort(-scores, kind="stable")[:10]
-        assert np.array_equal(got, want)
-
-    def test_count_too_large(self):
-        with pytest.raises(ValueError):
-            select_top_rows(np.ones(3), 4)
+    def test_decreasing_scores(self, monkeypatch):
+        M = np.eye(4)[::-1]
+        T0 = extracted_T0(monkeypatch, M, [0.2, 0.4, 0.6, 0.8], 2)
+        assert list(T0) == [0.0, 0.0, 0.5, 0.5]  # scores 0.8, 0.6, 0.4, 0.2
 
 
 class TestAverageRows:
-    def test_single_row(self):
+    """recover_quantile's T0 is the coordinate-wise mean of the kept rows."""
+
+    def test_single_row(self, monkeypatch):
         M = np.array([[0.1, 0.9], [0.5, 0.5]])
-        assert np.array_equal(average_rows(M, [1]), [0.5, 0.5])
+        assert list(extracted_T0(monkeypatch, M, [1.0, 0.0], 1)) == [0.5, 0.5]
 
-    def test_symmetric_pair(self):
+    def test_symmetric_pair(self, monkeypatch):
         M = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert np.array_equal(average_rows(M, [0, 1]), [0.5, 0.5])
+        assert list(extracted_T0(monkeypatch, M, [0.3, 0.7], 2)) == [0.5, 0.5]
 
-    def test_matches_recomputation(self):
-        rng = np.random.default_rng(3)
-        M = rng.random((6, 9))
-        idx = [0, 2, 5]
-        assert np.allclose(average_rows(M, idx), M[idx].sum(axis=0) / 3)
-
-    def test_empty_set(self):
-        with pytest.raises(ValueError, match="empty"):
-            average_rows(np.ones((2, 2)), [])
+    def test_matches_recomputation(self, monkeypatch):
+        M = np.random.default_rng(3).random((6, 9))
+        r = np.zeros(9)
+        r[0] = 1.0
+        idx = np.argsort(-M[:, 0])[:3]
+        assert np.allclose(extracted_T0(monkeypatch, M, r, 3),
+                           M[idx].sum(axis=0) / 3)
 
 
 class TestRandomizedRound:
@@ -197,6 +215,15 @@ class TestAcceptLoop:
 
 
 class TestRecoverQuantile:
+    def test_T0_averages_the_best_rows_ties_to_smaller_index(self, monkeypatch):
+        r = np.array([0.5, 0.5, 0.25])
+        M = np.array([[0.0, 0.0, 1.0],     # 0.25
+                      [1.0, 0.0, 0.0],     # 0.5
+                      [0.0, 1.0, 0.0],     # 0.5
+                      [0.25, 0.75, 0.0]])  # 0.5, loses the tie to row 2
+        T0 = extracted_T0(monkeypatch, M, r, 2)
+        assert list(T0) == [0.5, 0.5, 0.0]
+
     def test_identical_rows_average_to_common_row(self):
         cfg = make_config(n=4, m=8, alpha=1.0, beta=0.25, k=8, k0=8)
         row = np.zeros(8)

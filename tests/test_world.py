@@ -324,6 +324,19 @@ class TestDenseHalfPositive:
                            full_plan(10, 12), np.tile(gt.r_star, (4, 1)),
                            np.arange(4, 10), gt, derive_rng(0, "adv"))
 
+    # make_config's six adversaries at m = 12 form three blocks
+    @pytest.mark.parametrize("halves,message", [
+        (((0, 99),) * 3, "item halves must index items 0 to 11"),
+        (((0,),), "need at least 3 item halves, got 1"),
+    ], ids=["out-of-range", "too-few"])
+    def test_bad_halves_rejected_when_built(self, halves, message):
+        with pytest.raises(ConfigError, match=message):
+            make_config(adversary=DenseHalfPositive(halves=halves))
+
+    def test_halves_unchecked_without_adversaries(self):
+        # alpha = 1 leaves no adversarial rater to fill, as in a trial
+        make_config(alpha=1.0, adversary=DenseHalfPositive(halves=((0, 99),)))
+
 
 class TestStrategyParameters:
     @pytest.mark.parametrize("cls,name,value", [
