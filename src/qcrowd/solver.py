@@ -81,14 +81,11 @@ def _project_rows(M: np.ndarray, cap: float) -> np.ndarray:
         return X
     V = M[rows]
     f = f[rows]  # f(0), with its free count below
-    n_free = ((V > 0.0) & (V < 1.0)).sum(axis=1)
+    n_free = np.count_nonzero((V > 0.0) & (V < 1.0), axis=1)
     theta = np.zeros(rows.size)
     lo = theta.copy()
     hi = V.max(axis=1)  # at theta = max(v) the shifted sum is 0 <= cap
     narrow = np.nextafter(lo, hi) >= hi  # no float strictly inside
-    W_buf = np.empty_like(V)  # work buffers, sliced as rows finish
-    free_buf = np.empty(V.shape, dtype=bool)
-    below_buf = np.empty(V.shape, dtype=bool)
     for _ in range(80):
         step = theta + (f - cap) / np.maximum(n_free, 1)
         # a step lost to rounding moves theta one float toward the root
@@ -97,14 +94,9 @@ def _project_rows(M: np.ndarray, cap: float) -> np.ndarray:
         newton = (n_free > 0) & (lo < step) & (step < hi)
         theta = np.where(newton, step, 0.5 * (lo + hi))
         theta = np.where(narrow, hi, theta)  # finish at the upper end
-        W, free, below = (b[:rows.size] for b in (W_buf, free_buf, below_buf))
-        np.subtract(V, theta[:, None], out=W)
-        np.greater(W, 0.0, out=free)
-        np.less(W, 1.0, out=below)
-        np.logical_and(free, below, out=free)
-        n_free = free.sum(axis=1)
-        np.clip(W, 0.0, 1.0, out=W)
+        W = np.clip(V - theta[:, None], 0.0, 1.0)
         f = W.sum(axis=1)
+        n_free = np.count_nonzero((W > 0.0) & (W < 1.0), axis=1)
         above = f > cap
         lo = np.where(above, theta, lo)
         hi = np.where(above, hi, theta)
@@ -217,11 +209,7 @@ def dykstra_project(M: np.ndarray, cap: float, rho: float,
         y = u = _project_rows(M, cap)
     else:
         y = _project_rows(M - q, cap)
-        u = y + q
-        if prev is not None:  # in place: y is not needed again
-            y -= prev
-            y *= RELAX - 1.0
-            u += y
+        u = y + q if prev is None else y + q + (RELAX - 1.0) * (y - prev)
     x = project_nuclear_ball(u, rho)
     if x is y:  # zero correction, and y lies in the ball
         return y, None

@@ -243,7 +243,7 @@ class TestFeasibility:
         res = feasibility_residuals(M, beta_m=2, rho=10.0)
         assert res == {"box": np.inf, "row": np.inf, "nuc": np.inf}
 
-    def test_is_feasible_respects_tolerances(self, monkeypatch):
+    def test_feasibility_ok_respects_tolerances(self, monkeypatch):
         # run_trial's feasibility_ok holds these residuals to TOL_FEAS
         res = feasibility_residuals(np.full((2, 3), 1.0 + 5e-7), 4, 100.0)
         solve = analysis.solve_recover_M

@@ -237,11 +237,21 @@ class TestCappedBoxProjection:
     @settings(max_examples=300, deadline=None)
     @given(_row_projection_inputs())
     @example((np.array([[3.0, 3.0, 0.5]]), 2))
+    # a row under the cap, rows done after one and two Newton steps, and a
+    # row with no free entry that ends by bisection many steps later
+    @example((np.array([[0.1, 0.2, 0.3, 0.0, -1.0, 0.5, 0.4],
+                        [3.0, 3.0, 0.5, 0.0, 0.0, 0.0, 0.0],
+                        [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3],
+                        [2.5, -0.5, 1.7, 0.2, 3.1, 0.9, 1.3],
+                        np.full(7, 1e300)]), 2.0))
     def test_matches_bisection_oracle_and_never_exceeds_cap(self, case):
         M, cap = case
         got = _project_rows(M, cap)
         assert np.abs(got - bisection_rows_oracle(M, cap)).max() <= 1e-9
         assert np.all(got.sum(axis=1) <= cap)
+        # rows leave the search as they finish; the others' bits stay the same
+        alone = np.vstack([_project_rows(row[None, :], cap) for row in M])
+        assert got.tobytes() == alone.tobytes()
 
     def test_bad_rows_end_and_leave_other_rows_alone(self):
         # three infinite entries keep the clipped sum at 3 > cap for every
@@ -375,8 +385,10 @@ class TestDykstra:
         rng = np.random.default_rng(5)
         Z = rng.standard_normal(shape) * 4
         q = rng.standard_normal(shape) if warm else None
+        before = [a.tobytes() for a in (Z, q) if a is not None]
         with counted_projections() as (calls, _):
             got, got_q = dykstra_project(Z, 2.0, rho, q)
+        assert [a.tobytes() for a in (Z, q) if a is not None] == before
         # the bench counts Dykstra sweeps and nuclear projections by these calls
         assert calls == {"_project_rows": 1, "project_nuclear_ball": 1}
         q0 = np.zeros_like(Z) if q is None else q
@@ -395,8 +407,11 @@ class TestDykstra:
         # prev changes nothing
         rng = np.random.default_rng(6)
         Z, q, prev = (rng.standard_normal(shape) * 4 for _ in range(3))
+        before = [a.tobytes() for a in (Z, q, prev)]
         with counted_projections() as (calls, _):
             got, got_q = dykstra_project(Z, 2.0, rho, q, prev)
+        # _solve passes its own iterate as prev
+        assert [a.tobytes() for a in (Z, q, prev)] == before
         assert calls == {"_project_rows": 1, "project_nuclear_ball": 1}
         X = _project_rows(Z - q, 2.0)
         u = X + q + (solver.RELAX - 1.0) * (X - prev)
