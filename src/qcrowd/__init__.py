@@ -54,6 +54,7 @@ from .quantile import (
     round_offsets,
 )
 from .analysis import (
+    Trial,
     TrialResult,
     chernoff_budget,
     denoised_matrix,
@@ -63,6 +64,7 @@ from .analysis import (
     operator_norm,
     quality_gap,
     run_trial,
+    simulate_trial,
 )
 
 __version__ = "0.1.0"

@@ -1,6 +1,7 @@
 """Metrics and empirical verification: quality gap, denoised comparison
 matrix, operator-norm concentration, deviation concentration, and the
-per-trial pipeline the experiment runner dispatches."""
+per-trial pipeline: simulate_trial builds a trial's record, run_trial
+scores it for the experiment runner."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from typing import Tuple
 import numpy as np
 
 from .assignment import (
+    AssignmentPlan,
     draw_assignment,
     draw_self_ratings,
     realize_observations,
@@ -20,14 +22,14 @@ from .core import (
     ExperimentConfig,
     GroundTruth,
     ObservedRatings,
+    QuantileMatrix,
+    RequesterRatings,
     SelectionSet,
-    TOL_FEAS,
-    TOL_NUC,
     derive_rng,
     operator_norm,
 )
-from .quantile import recover_quantile
-from .solver import solve_recover_M
+from .quantile import RoundingTrace, recover_quantile
+from .solver import SolveReport, solve_recover_M
 from .world import WorldModel, build_world
 
 
@@ -45,15 +47,26 @@ class TrialResult:
     solver_converged: bool
     round_iters: int
     accepted: bool
-    early_accept: bool
     opnorm: float
     gap_a: float
     gap_r: float
     max_dev: float
-    dev_bound: float
-    feasibility_ok: bool
-    cardinality_ok: bool
     selection_size: int
+
+
+@dataclass(frozen=True)
+class Trial:
+    """One simulated trial: its config, every stage's output, the solve's
+    report and the rounding's trace (trace.selection is the selection)."""
+
+    cfg: ExperimentConfig
+    world: WorldModel
+    plan: AssignmentPlan
+    observed: ObservedRatings
+    requester: RequesterRatings
+    matrix: QuantileMatrix
+    report: SolveReport
+    trace: RoundingTrace
 
 
 def quality_gap(selection: SelectionSet, gt: GroundTruth, beta_m: int) -> float:
@@ -119,41 +132,41 @@ def chernoff_budget(n: int, v: int, delta: float, epsilon: float,
     return int(math.ceil(base)), int(math.ceil(base / beta))
 
 
-def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
-    """One end-to-end experiment: build a world, collect ratings, solve for
-    the quantile matrix, extract a selection, and score every claim.
-
-    A solve that hits its iteration limit still yields its last iterate;
-    result.solver_converged records whether the stop criterion was met.
-    """
-    rng_world = derive_rng(trial_seed, "world")
-    rng_assign = derive_rng(trial_seed, "assign")
-    rng_values = derive_rng(trial_seed, "values")
+def simulate_trial(cfg: ExperimentConfig, trial_seed: int) -> Trial:
+    """Build a world, collect ratings, solve for the quantile matrix and
+    round a selection, each stage drawing from its own derive_rng(trial_seed,
+    label) stream. A solve that hits its iteration limit still yields its
+    last iterate; report.converged records whether it certified."""
+    world = build_world(cfg, derive_rng(trial_seed, "world"))
+    plan = draw_assignment(cfg, derive_rng(trial_seed, "assign"))
+    observed = realize_observations(plan, world, derive_rng(trial_seed, "values"))
     rng_requester = derive_rng(trial_seed, "requester")
-    rng_round = derive_rng(trial_seed, "round")
-
-    world = build_world(cfg, rng_world)
-    plan = draw_assignment(cfg, rng_assign)
-    observed = realize_observations(plan, world, rng_values)
     masks = draw_self_ratings(cfg, rng_requester)
     requester = realize_requester(world, masks, rng_requester)
-
     matrix, report = solve_recover_M(observed, cfg)
+    trace = recover_quantile(matrix.M, requester.r_tilde,
+                             requester.r_tilde_prime, cfg,
+                             derive_rng(trial_seed, "round"))
+    return Trial(cfg, world, plan, observed, requester, matrix, report, trace)
 
-    selection, trace = recover_quantile(
-        matrix.M, requester.r_tilde, requester.r_tilde_prime, cfg, rng_round)
+
+def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
+    """One end-to-end experiment: simulate_trial, then score its selection
+    and matrix against the world."""
+    trial = simulate_trial(cfg, trial_seed)
+    world, observed, M = trial.world, trial.observed, trial.matrix.M
+    report, trace = trial.report, trial.trace
 
     gt = world.ground_truth
-    gap = quality_gap(selection, gt, cfg.beta_m)
+    gap = quality_gap(trace.selection, gt, cfg.beta_m)
     # denoised_matrix copies the other rows through, so the difference is
     # zero outside the reliable rows and they alone carry its norm
     reliable = world.reliable_set
     B = denoised_matrix(world, observed, cfg)
     opnorm = operator_norm(observed.values[reliable] - B[reliable])
-    gap_a, gap_r = monotone_transfer_gaps(matrix.M, world, cfg)
-    D = deviations(matrix.M, requester.r_tilde, gt.r_star, cfg.k0, cfg.m)
+    gap_a, gap_r = monotone_transfer_gaps(M, world, cfg)
+    D = deviations(M, trial.requester.r_tilde, gt.r_star, cfg.k0, cfg.m)
     max_dev = max_set_deviation(D, cfg.alpha_n)
-    dev_bound = cfg.epsilon * cfg.beta * cfg.k0
 
     return TrialResult(
         seed=trial_seed,
@@ -166,16 +179,9 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int) -> TrialResult:
         solver_converged=report.converged,
         round_iters=trace.iterations,
         accepted=trace.accepted,
-        early_accept=trace.early_accept,
         opnorm=opnorm,
         gap_a=gap_a,
         gap_r=gap_r,
         max_dev=max_dev,
-        dev_bound=dev_bound,
-        feasibility_ok=(report.residual_box <= TOL_FEAS
-                        and report.residual_row <= TOL_FEAS
-                        and report.residual_nuc <= TOL_NUC),
-        cardinality_ok=selection.size <= cfg.beta_m,
-        selection_size=selection.size,
+        selection_size=trace.selection.size,
     )
-

@@ -198,14 +198,15 @@ def _run_trials(cfg: ExperimentConfig, trials: int, jobs: int) -> list:
     return [run_trial(cfg, seed) for seed in seeds]
 
 
-def _summary_row(k: int, results: list) -> list:
+def _summary_row(cfg: ExperimentConfig, results: list) -> list:
     gaps = np.array([r.quality_gap for r in results])
     half = 1.96 * gaps.std(ddof=1) / math.sqrt(len(gaps)) if len(gaps) > 1 else 0.0
+    dev_bound = cfg.epsilon * cfg.beta * cfg.k0
     return [
-        k, len(results), float(np.median(gaps)), float(gaps.mean()),
+        cfg.k, len(results), float(np.median(gaps)), float(gaps.mean()),
         float(gaps.mean() - half), float(gaps.mean() + half),
-        float(np.median([r.opnorm / math.sqrt(k) for r in results])),
-        float(np.mean([r.max_dev > r.dev_bound for r in results])),
+        float(np.median([r.opnorm / math.sqrt(cfg.k) for r in results])),
+        float(np.mean([r.max_dev > dev_bound for r in results])),
         sum(not r.solver_converged for r in results),
     ]
 
@@ -234,9 +235,10 @@ def run_experiment(spec: RunSpec) -> int:
     all_results = []
     summary_rows = []
     for k in grid:
-        results = _run_trials(replace(cfg, k=k), spec.trials, spec.jobs)
+        cfg_k = replace(cfg, k=k)
+        results = _run_trials(cfg_k, spec.trials, spec.jobs)
         all_results.extend(results)
-        summary_rows.append(_summary_row(k, results))
+        summary_rows.append(_summary_row(cfg_k, results))
     _write_csv(spec.out_dir / "results.csv", RESULT_COLUMNS,
                [_result_row(r) for r in all_results])
     _write_csv(spec.out_dir / "summary.csv", _SUMMARY_HEADER, summary_rows)

@@ -13,8 +13,9 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .world import AdversaryStrategy
 
-# Feasibility slack of run_trial's feasibility_ok and the benchmark's output
-# check; the solve itself returns exact zero residuals and uses neither.
+# Feasibility slack that the tests and the benchmark's output check hold a
+# solve's residuals to; the solve itself returns exact zero residuals and
+# uses neither.
 TOL_FEAS = 1e-6  # absolute, box and row-sum constraints
 TOL_NUC = 1e-4   # relative, nuclear-norm bound
 
@@ -108,7 +109,9 @@ class ExperimentConfig:
     Construction (and dataclasses.replace) raises ConfigError naming the
     first violated constraint. alpha_n and beta_m are the round-half-up
     integer counts used everywhere; rho is the nuclear-norm bound
-    2/(alpha*epsilon) * sqrt(alpha*beta*n*m) * rho_scale.
+    2/(alpha*epsilon) * sqrt(alpha*beta*n*m) * rho_scale, and round_cap the
+    acceptance loop's draw cap ceil(4 ln(1/delta) / (epsilon*beta)). Both
+    must come out positive and finite.
     """
 
     n: int
@@ -129,6 +132,7 @@ class ExperimentConfig:
     alpha_n: int = field(init=False)
     beta_m: int = field(init=False)
     rho: float = field(init=False)
+    round_cap: int = field(init=False)
 
     def __post_init__(self):
         from . import world  # imported here: world imports core
@@ -177,9 +181,19 @@ class ExperimentConfig:
                                     alpha_n, beta_m, self.m)
         if not isinstance(self.solver, SolverSettings):
             raise ConfigError("solver must be a SolverSettings")
-        rho = (2.0 / (self.alpha * self.epsilon)) * math.sqrt(
-            self.alpha * self.beta * self.n * self.m
-        ) * self.rho_scale
+        try:
+            rho = (2.0 / (self.alpha * self.epsilon)) * math.sqrt(
+                self.alpha * self.beta * self.n * self.m
+            ) * self.rho_scale
+            round_cap = 4.0 * math.log(1.0 / self.delta) / (self.epsilon * self.beta)
+        except ZeroDivisionError:  # a tiny epsilon's product underflowed to 0
+            rho = round_cap = math.inf
+        if not 0.0 < rho < math.inf:
+            raise ConfigError("nuclear-norm bound 2/(alpha*epsilon) * sqrt("
+                              "alpha*beta*n*m) * rho_scale must be finite")
+        if not 0.0 < round_cap < math.inf:
+            raise ConfigError("rounding cap 4 ln(1/delta) / (epsilon*beta) "
+                              "must be finite")
         # derived values come from the values as given, then every scalar
         # field is normalized to a builtin int or float; results.csv bytes
         # rely on both
@@ -188,6 +202,7 @@ class ExperimentConfig:
         object.__setattr__(self, "alpha_n", alpha_n)
         object.__setattr__(self, "beta_m", beta_m)
         object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "round_cap", math.ceil(round_cap))
 
 
 # The config-text schema. Each scalar field of ExperimentConfig is a key of

@@ -57,7 +57,7 @@ def accept_loop(T0: np.ndarray, r_tilde_prime: np.ndarray,
     rating pass clears <T0, r_tilde_prime> - (epsilon/4) * beta * k0.
 
     When <T0, r_tilde_prime> is below the slack itself, the first draw is
-    accepted unconditionally. The loop is capped at
+    accepted unconditionally. The loop is capped at cfg.round_cap =
     ceil(4 ln(1/delta) / (epsilon * beta)) iterations; on cap expiry the
     best-seen draw is returned, flagged as not accepted.
     """
@@ -65,7 +65,7 @@ def accept_loop(T0: np.ndarray, r_tilde_prime: np.ndarray,
     r_prime = np.asarray(r_tilde_prime, dtype=float)
     base = float(T0 @ r_prime)
     slack = (cfg.epsilon / 4.0) * cfg.beta * cfg.k0
-    cap = int(math.ceil(4.0 * math.log(1.0 / cfg.delta) / (cfg.epsilon * cfg.beta)))
+    cap = cfg.round_cap
     early = base < slack
 
     best_val = -math.inf
@@ -89,12 +89,11 @@ def accept_loop(T0: np.ndarray, r_tilde_prime: np.ndarray,
 
 def recover_quantile(M: np.ndarray, r_tilde: np.ndarray,
                      r_tilde_prime: np.ndarray, cfg: ExperimentConfig,
-                     rng: np.random.Generator
-                     ) -> Tuple[SelectionSet, RoundingTrace]:
+                     rng: np.random.Generator) -> RoundingTrace:
     """Full extraction: score each row as s = M @ r_tilde, average the
     rows top_indices(s, alpha_n) picks (ties toward the smaller index) into
-    T0, and round T0 with the acceptance loop against r_tilde_prime."""
+    T0, and round T0 with the acceptance loop against r_tilde_prime; the
+    trace's selection is the extracted set."""
     scores = M @ r_tilde
     T0 = M[top_indices(scores, cfg.alpha_n)].mean(axis=0)
-    trace = accept_loop(T0, r_tilde_prime, cfg, rng)
-    return trace.selection, trace
+    return accept_loop(T0, r_tilde_prime, cfg, rng)

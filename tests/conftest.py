@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcrowd import ExperimentConfig, RandomSpam, SolverSettings
+from qcrowd import ExperimentConfig, RandomSpam, SolverSettings, SymmetricBlocks
 
 
 def make_config(**overrides):
@@ -11,6 +11,14 @@ def make_config(**overrides):
                 solver=SolverSettings(max_iters=300))
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def readme_config(rho_scale, max_iters):
+    """The README example config (n = m = 200) at rho_scale."""
+    return make_config(n=200, m=200, alpha=0.3, beta=0.2, epsilon=0.2, k=50,
+                       k0=100, rho_scale=rho_scale,
+                       adversary=SymmetricBlocks(block_low=0.8),
+                       solver=SolverSettings(max_iters=max_iters))
 
 
 @pytest.fixture

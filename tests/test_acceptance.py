@@ -206,7 +206,8 @@ def test_criterion_08_deviation_concentration():
     trials = 200
     results = [run_trial(cfg, 81000 + s) for s in range(trials)]
     _track(results, cfg)
-    violations = sum(r.max_dev > r.dev_bound for r in results)
+    violations = sum(r.max_dev > cfg.epsilon * cfg.beta * cfg.k0
+                     for r in results)
     rate = violations / trials
     bound = delta + 3 * math.sqrt(delta * (1 - delta) / trials)
     _report(8, rate <= bound,

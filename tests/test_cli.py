@@ -378,6 +378,11 @@ class TestMainCommand:
                      id="no-adversary"),
         pytest.param("seed = 42", "seed = 42\nL = nan", [], "L must",
                      id="L=nan"),
+        # in range, but rho's alpha * epsilon underflows or the cap overflows
+        pytest.param("epsilon = 0.2", "epsilon = 5e-324", [],
+                     "nuclear-norm bound", id="epsilon=5e-324"),
+        pytest.param("delta = 0.1", "delta = 1e-320", [], "rounding cap",
+                     id="delta=1e-320"),
         pytest.param("SymmetricBlocks\nadversary.block_low = 0.8",
                      "RandomSpam\nadversary.p_high = 2", [], "p_high",
                      id="p_high=2"),

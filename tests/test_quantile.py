@@ -230,8 +230,8 @@ class TestRecoverQuantile:
         row[[1, 5]] = 1.0
         M = np.tile(row, (4, 1))
         r = np.linspace(1, 0.3, 8)
-        sel, trace = recover_quantile(M, r, r, cfg, derive_rng(11, "rq"))
-        assert np.array_equal(sel.t.astype(float), row)
+        trace = recover_quantile(M, r, r, cfg, derive_rng(11, "rq"))
+        assert np.array_equal(trace.selection.t.astype(float), row)
 
     def test_deterministic_given_seed(self):
         cfg = make_config(n=6, m=10, alpha=0.5, beta=0.3, k=10, k0=10)
@@ -239,15 +239,15 @@ class TestRecoverQuantile:
         M = rng.random((6, 10)) * 0.5
         r1 = rng.random(10)
         r2 = rng.random(10)
-        a, _ = recover_quantile(M, r1, r2, cfg, derive_rng(13, "rq"))
-        b, _ = recover_quantile(M, r1, r2, cfg, derive_rng(13, "rq"))
-        assert np.array_equal(a.t, b.t)
+        a = recover_quantile(M, r1, r2, cfg, derive_rng(13, "rq"))
+        b = recover_quantile(M, r1, r2, cfg, derive_rng(13, "rq"))
+        assert np.array_equal(a.selection.t, b.selection.t)
 
     def test_cardinality_bound_always(self):
         cfg = make_config(n=6, m=10, alpha=0.5, beta=0.3, k=10, k0=10)
         rng = np.random.default_rng(14)
         for s in range(20):
             M = np.clip(rng.random((6, 10)), 0, 1) * 0.3
-            sel, _ = recover_quantile(M, rng.random(10), rng.random(10), cfg,
-                                      derive_rng(s, "rq"))
-            assert sel.size <= cfg.beta_m
+            trace = recover_quantile(M, rng.random(10), rng.random(10), cfg,
+                                     derive_rng(s, "rq"))
+            assert trace.selection.size <= cfg.beta_m

@@ -19,8 +19,7 @@ from qcrowd import (
     project_nuclear_ball,
     solve_recover_M,
 )
-from qcrowd import SymmetricBlocks, analysis, solver
-from qcrowd.analysis import run_trial
+from qcrowd import SymmetricBlocks, simulate_trial, solver
 from qcrowd.core import feasibility_residuals
 from qcrowd.solver import (
     _face_point,
@@ -29,7 +28,7 @@ from qcrowd.solver import (
     dykstra_project,
 )
 
-from conftest import make_config
+from conftest import make_config, readme_config
 from oracles import capped_box_oracle, nuclear_oracle
 
 
@@ -696,29 +695,6 @@ def _derived_step(A, L):
             / math.sqrt(np.einsum("ij,ij->", A, A)))
 
 
-def _readme_config(rho_scale, max_iters):
-    """The README example config (n = m = 200) at rho_scale."""
-    return make_config(n=200, m=200, alpha=0.3, beta=0.2, epsilon=0.2, k=50,
-                       k0=100, rho_scale=rho_scale,
-                       adversary=SymmetricBlocks(block_low=0.8),
-                       solver=SolverSettings(max_iters=max_iters))
-
-
-def _solved_trial(monkeypatch, cfg, seed):
-    """run_trial(cfg, seed); returns its solve's ratings, M and report."""
-    solved = []
-
-    def recording_solve(ratings, cfg):
-        out = solve_recover_M(ratings, cfg)
-        solved.append((np.asarray(ratings.values, dtype=float), *out))
-        return out
-
-    monkeypatch.setattr(analysis, "solve_recover_M", recording_solve)
-    run_trial(cfg, seed)
-    (A, matrix, report), = solved
-    return A, matrix.M, report
-
-
 def _near_threshold(seed):
     """A sparse 8x12 instance whose nuclear ball binds on the ascent's path
     but not at its optimum: rho lies a fifth of the way (geometrically) from
@@ -1009,21 +985,22 @@ class TestSolveRecoverM:
         # README config, trial seed 42: the ball is slack, q stays None, and
         # a relaxation factor that would poison any relaxed step changes no
         # byte
-        cfg = _readme_config(1.0, 400)
-        _, M, report = _solved_trial(monkeypatch, cfg, 42)
-        assert report.converged and report.iterations == 1
+        cfg = readme_config(1.0, 400)
+        trial = simulate_trial(cfg, 42)
+        assert trial.report.converged and trial.report.iterations == 1
         monkeypatch.setattr(solver, "RELAX", math.nan)
-        _, poisoned, _ = _solved_trial(monkeypatch, cfg, 42)
-        assert poisoned.tobytes() == M.tobytes()
+        poisoned = simulate_trial(cfg, 42).matrix.M
+        assert poisoned.tobytes() == trial.matrix.M.tobytes()
 
     @pytest.mark.parametrize("seed", [42, 43])
-    def test_relaxation_raises_the_20_step_objective(self, monkeypatch, seed):
+    def test_relaxation_raises_the_20_step_objective(self, seed):
         # the binding CI config (README config at rho_scale 0.2, 20 steps)
         # against plain ADMM from the same start at the same step: dykstra_
         # project chained without prev (4098.524 against 4091.020 at seed
         # 42, 4092.875 against 4085.016 at 43)
-        cfg = _readme_config(0.2, 20)
-        A, _, report = _solved_trial(monkeypatch, cfg, seed)
+        cfg = readme_config(0.2, 20)
+        trial = simulate_trial(cfg, seed)
+        A, report = trial.observed.values, trial.report
         assert report.iterations == 20 and not report.converged
         cap, rho = cfg.beta_m, cfg.rho
         M = _face_point(A, cap, cfg.beta)
@@ -1060,16 +1037,8 @@ class TestSolveRecoverM:
         cfg = make_config(beta=0.1667, adversary=SymmetricBlocks(block_low=0.8),
                           rho_scale=0.1, solver=SolverSettings(max_iters=250))
         _, _, returned = _record_dykstra(monkeypatch)
-        solved = []
-
-        def recording_solve(ratings, cfg):
-            out = solve_recover_M(ratings, cfg)
-            solved.append((np.asarray(ratings.values, dtype=float), out[1]))
-            return out
-
-        monkeypatch.setattr(analysis, "solve_recover_M", recording_solve)
-        run_trial(cfg, seed)
-        (A, report), = solved
+        trial = simulate_trial(cfg, seed)
+        A, report = trial.observed.values, trial.report
         assert report.iterations == 250 and not report.converged
         eta = _derived_step(A, _face_point(A, cfg.beta_m, cfg.beta))
         Z = returned[-1] / eta  # q / eta
@@ -1139,18 +1108,11 @@ class TestSolveRecoverM:
 # README config, trial seed 42; run in a fresh process per BLAS thread count
 _BLAS_PROBE = """
 import hashlib
-from qcrowd import (ExperimentConfig, SolverSettings, SymmetricBlocks,
-                    analysis, solver)
-cfg = ExperimentConfig(n=200, m=200, alpha=0.3, beta=0.2, epsilon=0.2,
-                       delta=0.1, k=50, k0=100, rho_scale={rho_scale},
-                       adversary=SymmetricBlocks(block_low=0.8),
-                       solver=SolverSettings(max_iters={max_iters}))
-def solve(ratings, cfg):
-    matrix, report = solver.solve_recover_M(ratings, cfg)
-    print(hashlib.sha256(matrix.M.tobytes()).hexdigest(), report.iterations)
-    return matrix, report
-analysis.solve_recover_M = solve
-analysis.run_trial(cfg, 42)
+from conftest import readme_config
+from qcrowd import simulate_trial
+trial = simulate_trial(readme_config({rho_scale}, {max_iters}), 42)
+print(hashlib.sha256(trial.matrix.M.tobytes()).hexdigest(),
+      trial.report.iterations)
 """
 
 
