@@ -7,6 +7,8 @@ eta = 1/penalty = ||L||_F / ||A||_F, started at the row program's face point
 L (see _face_point). Each step is one Dykstra sweep (see dykstra_project)
 from the carried nuclear correction q, which is ADMM's scaled dual variable;
 once q is carried, the sweep is over-relaxed by the constant factor RELAX.
+The first step row-projects L itself: L maximizes <A, .> over the row set,
+so in exact arithmetic L + eta * A projects back onto L.
 """
 
 from __future__ import annotations
@@ -283,17 +285,21 @@ def solve_recover_M(ratings,
     face point L of beta * ones (see _face_point) with q = None: each step
     is M, q <- dykstra_project(M + eta * A, cap, rho, q, M), that is
     X = Pi_rows(M - q + eta * A), u = X + q + (RELAX - 1) * (X - M),
-    M' = Pi_nuc(u), q' = u - M'. The relaxation term is dropped while q is
-    None: on the first step, and on every step of a solve whose ball is
-    slack, which is therefore plain ADMM. bound =
+    M' = Pi_nuc(u), q' = u - M'. The first step passes L in place of
+    L + eta * A: since L maximizes <A, .> over the row set, eta * A lies in
+    that set's normal cone at L, and both row-project to L in exact
+    arithmetic. The relaxation term is dropped while q is None: on the
+    first step, and on every step of a solve whose ball is slack, which is
+    therefore plain ADMM. bound =
     <A, L> is the row program's optimum and an upper bound on the
     program's. Each iterate whose objective reaches target = bound -
     STOP_REL_OBJ * max(1, |bound|) is polished into the feasible set (see
     _polish), and the solve stops once the polished matrix's own objective
     reaches target; report.converged is then True. Otherwise it returns the
     polished last iterate after max_iters steps. When L lies in the ball,
-    the first step returns L up to rounding and certifies. A -> c * A
-    (c = 2**j) leaves L, eta * A and so every iterate bit for bit the same.
+    the first step returns L up to rounding and certifies, whatever eta is.
+    A -> c * A (c = 2**j) leaves L, eta * A and so every iterate bit for bit
+    the same.
     """
     return _solve(ratings, cfg, face_start=True)
 
@@ -301,9 +307,10 @@ def solve_recover_M(ratings,
 def _solve(ratings, cfg: ExperimentConfig,
            face_start: bool) -> Tuple[QuantileMatrix, SolveReport]:
     """The body of solve_recover_M. face_start False starts at beta * ones,
-    not L (eta still comes from L), so tests can check the slack ascent.
-    Each step passes the iterate it starts from to dykstra_project as prev,
-    which over-relaxes the step once q is carried."""
+    not L (eta still comes from L), so tests can check the slack ascent; its
+    first step row-projects beta * ones + eta * A. Each step passes the
+    iterate it starts from to dykstra_project as prev, which over-relaxes
+    the step once q is carried."""
     settings = cfg.solver
     A = np.asarray(ratings.values, dtype=float)
     cap = cfg.beta_m
@@ -322,7 +329,9 @@ def _solve(ratings, cfg: ExperimentConfig,
     q = None  # ADMM's scaled dual, Dykstra's nuclear correction
     trace = []
     for t in range(1, settings.max_iters + 1):
-        M, q = dykstra_project(M + eta * A, cap, rho, q, M)
+        # from L, the step's input L + eta * A row-projects to L itself
+        Z = L if t == 1 and face_start else M + eta * A
+        M, q = dykstra_project(Z, cap, rho, q, M)
         trace.append(float(np.vdot(A, M)))
         if trace[-1] >= target or t == settings.max_iters:
             final, res = _polish(M, cap, rho)

@@ -600,6 +600,27 @@ def partition_face_point(A, cap, x0):
     return np.where(above, 1.0, np.where(ties, share, 0.0))
 
 
+@st.composite
+def _normal_cone_inputs(draw):
+    """(A, cap, x0, eta): rows of three kinds, mixed, uniform in [0, 1),
+    tie-heavy over {0, 0.8, 1}, or sparse with fewer than cap positive
+    entries; x0 = 0 or cap / m, and eta log-uniform in [1e-3, 1e3]."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 60))
+    cap = draw(st.integers(1, m))
+    x0 = draw(st.sampled_from([0.0, cap / m]))
+    eta = 10.0 ** draw(st.floats(-3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = rng.integers(3, size=n)
+    A = np.where((kinds == 1)[:, None], rng.choice([0.0, 0.8, 1.0], (n, m)),
+                 rng.random((n, m)))
+    for i in np.flatnonzero(kinds == 2):
+        hot = rng.choice(m, size=rng.integers(cap), replace=False)
+        A[i] = 0.0
+        A[i, hot] = rng.random(hot.size)
+    return A, cap, x0, eta
+
+
 # shaped like the wide workload's ratings: 40 x 600, three values, cap m / 2
 _WIDE_RATINGS = np.random.default_rng(19).choice(
     [0.0, 0.8, 1.0], size=(40, 600), p=[0.954, 0.011, 0.035])
@@ -647,6 +668,21 @@ class TestFacePoint:
         got = _face_point(A, cap, x0)
         for M in long_ascent(A, cap, x0):
             assert np.abs(got - M).max() <= 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(_normal_cone_inputs())
+    @example((_WIDE_RATINGS, 300, 0.5, 1e-3))
+    def test_step_from_the_face_point_row_projects_to_it(self, case):
+        # L maximizes <A, .> over the row set, so eta * A lies in the set's
+        # normal cone at L and Pi_rows(L + eta * A) = L: the solve's first
+        # step row-projects L itself. In floats the two agree to a few ulps
+        # of the row sum cap and of the largest entry, since a row's shift is
+        # found to the rounding of its sum: at small eta the gap is typically
+        # cap / 2 ulps of 1, 150 on the example below
+        A, cap, x0, eta = case
+        L = _face_point(A, cap, x0)
+        gap = np.abs(_project_rows(L + eta * A, cap) - _project_rows(L, cap))
+        assert gap.max() <= 4 * np.finfo(float).eps * (cap + eta * A.max())
 
 
 # --- full solve ----------------------------------------------------------------
@@ -802,8 +838,8 @@ class TestSolveRecoverM:
 
     def test_binding_solve_starts_at_the_face_point(self, monkeypatch):
         # the ball binds (as in test_not_converged_carries_result); the first
-        # step still starts at L with the zero correction, and no SVD asks
-        # whether L lies in the ball
+        # step still row-projects L itself, not L + eta * A, with the zero
+        # correction, and no SVD asks whether L lies in the ball
         rng = np.random.default_rng(12)
         cfg = make_config(n=6, m=8, beta=0.25, k=8, k0=8, rho_scale=0.05,
                           solver=SolverSettings(max_iters=3))
@@ -814,8 +850,7 @@ class TestSolveRecoverM:
         seen = _record_decompositions(monkeypatch)
         solve_recover_M(_observed(A), cfg)
         assert passed[0] is None
-        eta = _derived_step(A, L)
-        assert inputs[0].tobytes() == (L + eta * A).tobytes()
+        assert inputs[0].tobytes() == L.tobytes()
         assert not any(np.array_equal(a, L) for a in seen)
 
     # where the removed start rule began at beta * ones, and the two cases
@@ -840,8 +875,7 @@ class TestSolveRecoverM:
         seen = _record_decompositions(monkeypatch)
         solve_recover_M(_observed(A), cfg)
         assert passed[0] is None
-        eta = _derived_step(A, L)
-        assert inputs[0].tobytes() == (L + eta * A).tobytes()
+        assert inputs[0].tobytes() == L.tobytes()
         assert not any(np.array_equal(a, L) or np.array_equal(a, uniform)
                        for a in seen)
 
@@ -891,10 +925,14 @@ class TestSolveRecoverM:
                           solver=SolverSettings(max_iters=4))
         L = _face_point(A, cfg.beta_m, cfg.beta)
         eta = _derived_step(A, L)
+        # step 1 row-projects L itself; the step first shows in step 2's
+        # input M_1 + eta * A
+        M1 = project_nuclear_ball(_project_rows(L, cfg.beta_m), cfg.rho)
         inputs, _, _ = _record_dykstra(monkeypatch)
         seen = _record_decompositions(monkeypatch, ("eigh", "eigvalsh", "svd"))
         default = solve_recover_M(_observed(A), cfg)
-        assert inputs[0].tobytes() == (L + eta * A).tobytes()
+        assert inputs[0].tobytes() == L.tobytes()
+        assert inputs[1].tobytes() == (M1 + eta * A).tobytes()
         # no decomposition sees A: the solve at the same step, given, makes
         # exactly the same ones
         assert not any(np.array_equal(a, A) or np.array_equal(a, A.T)
@@ -911,7 +949,8 @@ class TestSolveRecoverM:
         inputs.clear()
         solve_recover_M(_observed(A), replace(
             cfg, solver=SolverSettings(max_iters=4, eta0=0.5)))
-        assert inputs[0].tobytes() == (L + 0.5 * A).tobytes()
+        assert inputs[0].tobytes() == L.tobytes()
+        assert inputs[1].tobytes() == (M1 + 0.5 * A).tobytes()
 
     def test_slack_solve_starts_at_the_face_point(self):
         rng = np.random.default_rng(14)
@@ -957,7 +996,7 @@ class TestSolveRecoverM:
 
     def test_binding_solve_follows_the_relaxed_recurrence(self, monkeypatch):
         # the binding config of test_not_converged_carries_result; step 1
-        # starts from q = None and is not relaxed
+        # row-projects L itself, from q = None, and is not relaxed
         rng = np.random.default_rng(12)
         cfg = make_config(n=6, m=8, beta=0.25, k=8, k0=8, rho_scale=0.05,
                           solver=SolverSettings(max_iters=6))
@@ -965,7 +1004,7 @@ class TestSolveRecoverM:
         cap, rho = cfg.beta_m, cfg.rho
         L = _face_point(A, cap, cfg.beta)
         eta = _derived_step(A, L)
-        X = _project_rows(L + eta * A, cap)
+        X = _project_rows(L, cap)
         M = project_nuclear_ball(X, rho)
         q = X - M
         want = [q]
@@ -991,6 +1030,31 @@ class TestSolveRecoverM:
         monkeypatch.setattr(solver, "RELAX", math.nan)
         poisoned = simulate_trial(cfg, 42).matrix.M
         assert poisoned.tobytes() == trial.matrix.M.tobytes()
+
+    def test_slack_solve_does_not_depend_on_the_step(self):
+        # README config, trial seed 42: step 1 row-projects L itself, so no
+        # eta reaches a solve that certifies there. Row-projecting the rounded
+        # L + eta * A moves M at eta 1e8 and loses L altogether at 1e300.
+        cfg = readme_config(1.0, 400)
+        base = simulate_trial(cfg, 42)
+        assert base.report.converged and base.report.iterations == 1
+        assert round(base.report.objective, 6) == 7044.8
+        for eta0 in (0.1, 1e8, 1e300):
+            trial = simulate_trial(replace(
+                cfg, solver=SolverSettings(max_iters=400, eta0=eta0)), 42)
+            assert trial.report == base.report
+            assert trial.matrix.M.tobytes() == base.matrix.M.tobytes()
+
+    def test_slack_solve_makes_one_of_each_projection(self, monkeypatch):
+        # README config, trial seed 42: one step (one sweep, one row and one
+        # nuclear projection) and the polish's row projection; the benchmark's
+        # per-layer metrics on its readme workload need each of these calls
+        cfg = readme_config(1.0, 400)
+        inputs, _, _ = _record_dykstra(monkeypatch)
+        with counted_projections() as (calls, _):
+            simulate_trial(cfg, 42)
+        assert len(inputs) == 1
+        assert calls == {"_project_rows": 2, "project_nuclear_ball": 1}
 
     @pytest.mark.parametrize("seed", [42, 43])
     def test_relaxation_raises_the_20_step_objective(self, seed):
